@@ -6,12 +6,13 @@
 # the first failing step.
 #
 #   ./ci.sh             all configurations + smokes + lint (the full gate)
-#   ./ci.sh --smoke     default build + full ctest + lint + soak smoke
+#   ./ci.sh --smoke     default build + full ctest + lint + every smoke below
 #   ./ci.sh lint        just the static-analysis stage
 #   ./ci.sh soak-smoke  just the soak gate on the default build
 #   ./ci.sh coro-smoke  just the coroutine-runtime gate on the default build
 #   ./ci.sh metrics-smoke  just the live-telemetry gate on the default build
 #   ./ci.sh socket-smoke  just the socket-transport gate on the default build
+#   ./ci.sh bench-smoke   just the benchmark smoke (colexbench, own build)
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -24,8 +25,9 @@ case "$mode" in
   coro-smoke|--coro-smoke) mode=coro-smoke ;;
   metrics-smoke|--metrics-smoke) mode=metrics-smoke ;;
   socket-smoke|--socket-smoke) mode=socket-smoke ;;
+  bench-smoke|--bench-smoke) mode=bench-smoke ;;
   *)
-    echo "usage: $0 [all|--smoke|lint|soak-smoke|coro-smoke|metrics-smoke|socket-smoke]" >&2
+    echo "usage: $0 [all|--smoke|lint|soak-smoke|coro-smoke|metrics-smoke|socket-smoke|bench-smoke]" >&2
     exit 2
     ;;
 esac
@@ -176,6 +178,15 @@ run_socket_smoke() {
   grep -q '"gate_ok": true' "$dir/BENCH_E18.json"
 }
 
+# Benchmark smoke (colexbench/README.md): every workload BENCHMARK.json
+# declares runs for 1 s with tracing off and on, and each run must exit 0
+# with every election checked and exactly the declared metrics and units.
+# colexbench builds its own Release tree under .bench_build/.
+run_bench_smoke() {
+  echo "==> [bench-smoke] colexbench/smoke.py (every workload, trace off + on)"
+  python3 colexbench/smoke.py
+}
+
 if [ "$mode" = lint ]; then
   run_lint
   echo "==> lint green"
@@ -200,6 +211,12 @@ if [ "$mode" = metrics-smoke ]; then
   cmake -B build -S . -DCOLEX_WERROR=ON >/dev/null
   run_metrics_smoke build default
   echo "==> metrics smoke green"
+  exit 0
+fi
+
+if [ "$mode" = bench-smoke ]; then
+  run_bench_smoke
+  echo "==> bench smoke green"
   exit 0
 fi
 
@@ -232,9 +249,12 @@ run_metrics_smoke build default
 #     forked multi-process election, and the E18 exactness gates.
 run_socket_smoke build default
 
+# 5c. Benchmark smoke: every colexbench workload runs and checks out.
+run_bench_smoke
+
 if [ "$mode" = smoke ]; then
   echo "==> smoke green (default build + ctest + lint + soak + coro" \
-       "+ metrics + socket smoke)"
+       "+ metrics + socket + bench smoke)"
   exit 0
 fi
 
@@ -270,7 +290,7 @@ run_soak_smoke build-tsan tsan
 # 8. Bench smoke: the n=3 exhaustive sweep must finish, agree across both
 #    exploration engines, and show the snapshot engine >= 2x over replay
 #    (it writes BENCH_E12.json for the perf trail).
-echo "==> [bench-smoke] bench_e12_exhaustive --smoke"
+echo "==> [e12-smoke] bench_e12_exhaustive --smoke"
 (cd build && ./bench/bench_e12_exhaustive --smoke)
 
 # 9. Observability smoke: E1 exports an instrumented trace, and the

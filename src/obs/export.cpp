@@ -76,9 +76,18 @@ bool find_string(const std::string& line, const std::string& key,
   if (begin >= line.size() || line[begin] != '"') return false;
   ++begin;
   out.clear();
+  // Decodes exactly what write_escaped emits: \" \\ \n \t.
   while (begin < line.size() && line[begin] != '"') {
-    if (line[begin] == '\\' && begin + 1 < line.size()) ++begin;
-    out += line[begin];
+    if (line[begin] == '\\' && begin + 1 < line.size()) {
+      ++begin;
+      switch (line[begin]) {
+        case 'n': out += '\n'; break;
+        case 't': out += '\t'; break;
+        default: out += line[begin];
+      }
+    } else {
+      out += line[begin];
+    }
     ++begin;
   }
   return begin < line.size();

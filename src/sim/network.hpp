@@ -11,7 +11,10 @@
 // * Channels are per-direction FIFO. For indistinguishable pulses this is
 //   without loss of generality; cross-channel interleaving is controlled by
 //   a Scheduler (see scheduler.hpp), which is where all adversarial
-//   asynchrony lives.
+//   asynchrony lives. The network keeps the scheduler's choice set live
+//   (one ChannelView per channel in flight, updated at every queue push and
+//   pop), so the runner's own bookkeeping is O(1) per delivery and a
+//   scheduler pays only for what its `pick` scans.
 // * Nodes are event-driven (paper §2): they act once at start and afterwards
 //   only when a pulse is delivered. A delivery pushes the payload into the
 //   destination node's per-port incoming queue and triggers `react`, which
@@ -323,7 +326,7 @@ class Network {
   Network clone() const {
     Network copy;
     copy.channels_ = channels_;
-    copy.nonempty_ = nonempty_;
+    copy.pending_ = pending_;
     copy.next_seq_ = next_seq_;
     copy.stamp_ = stamp_;
     copy.total_sent_ = total_sent_;
@@ -378,7 +381,7 @@ class Network {
     auto& ch = channels_[c];
     Item item = std::move(ch.items.front());
     ch.items.pop_front();
-    unmark_if_empty(c);
+    note_pop(c);
     ++total_delivered_;
     const NodeId v = ch.to_node;
     auto& node = nodes_[v];
@@ -405,7 +408,9 @@ class Network {
   /// the adversary's current choice set, enumerated deterministically so
   /// both exploration engines branch in the same order.
   std::vector<std::size_t> pending_channels() const {
-    std::vector<std::size_t> out(nonempty_.begin(), nonempty_.end());
+    std::vector<std::size_t> out;
+    out.reserve(pending_.size());
+    for (const ChannelView& view : pending_) out.push_back(view.channel);
     std::sort(out.begin(), out.end());
     return out;
   }
@@ -417,7 +422,7 @@ class Network {
   void inject_fault(std::size_t c, P payload = P{}) {
     COLEX_EXPECTS(c < channels_.size());
     channels_[c].items.push_back(Item{std::move(payload), next_seq_++, stamp_});
-    mark_nonempty(c);
+    note_push(c);
     ++total_sent_;  // keep conservation accounting consistent for delivery
     ++injected_;
   }
@@ -426,7 +431,7 @@ class Network {
   void drop_fault(std::size_t c) {
     COLEX_EXPECTS(c < channels_.size() && !channels_[c].items.empty());
     channels_[c].items.pop_front();
-    unmark_if_empty(c);
+    note_pop(c);
     ++dropped_;
     // The dropped payload will never be delivered or consumed; account for
     // it so in_transit() reflects what can still move.
@@ -442,6 +447,7 @@ class Network {
     items.insert(items.begin() + 1,
                  Item{P(items.front().payload), next_seq_++,
                       items.front().stamp});
+    note_push(c);
     ++total_sent_;
     ++duplicated_;
   }
@@ -524,7 +530,7 @@ class Network {
     auto& node = nodes_[v];
     const std::size_t c = node.out_channel[index(p)];
     channels_[c].items.push_back(Item{std::move(payload), next_seq_++, stamp_});
-    mark_nonempty(c);
+    note_push(c);
     ++total_sent_;
     if (send_observer_) send_observer_(v, p, channels_[c].dir);
   }
@@ -588,7 +594,6 @@ class Network {
     }
 
     std::uint64_t events = 0;
-    std::vector<ChannelView> pending;
     for (;;) {
       if (events >= opts.max_events) {
         report.hit_event_limit = true;
@@ -605,15 +610,9 @@ class Network {
         continue;
       }
 
-      pending.clear();
-      for (const std::size_t c : nonempty_) {
-        const auto& ch = channels_[c];
-        pending.push_back(ChannelView{c, ch.items.size(), ch.items.front().seq,
-                                      ch.items.front().stamp, ch.dir});
-      }
-      if (pending.empty()) break;
+      if (pending_.empty()) break;
 
-      const std::size_t c = scheduler.pick(pending);
+      const std::size_t c = scheduler.pick(pending_);
       COLEX_ASSERT(c < channels_.size() && !channels_[c].items.empty());
       deliver(c, report, start_specific, unstarted, opts);
       ++events;
@@ -651,7 +650,7 @@ class Network {
     Port to_port{};
     Direction dir{};
     std::deque<Item> items;
-    std::size_t nonempty_pos = kNoPos;  // index into nonempty_, or kNoPos
+    std::size_t view_pos = kNoPos;  // index into pending_, or kNoPos
   };
   struct NodeState {
     std::unique_ptr<Automaton<P>> automaton;
@@ -680,7 +679,7 @@ class Network {
     auto& ch = channels_[c];
     Item item = std::move(ch.items.front());
     ch.items.pop_front();
-    unmark_if_empty(c);
+    note_pop(c);
     ++total_delivered_;
     ++report.deliveries;
     if (opts.on_deliver) opts.on_deliver(ch.to_node, ch.to_port, ch.dir);
@@ -719,31 +718,44 @@ class Network {
     if (opts.on_event) opts.on_event(*this);
   }
 
-  // Incremental index of channels with pulses in flight, so each runner
-  // step costs O(#nonempty channels) instead of O(#channels).
+  // The scheduler's choice set, kept live: one ChannelView per channel with
+  // payloads in flight, updated at every push onto and pop off a channel
+  // queue. The runner hands `pending_` to Scheduler::pick as is, so its own
+  // bookkeeping is O(1) per delivery. A channel that drains is swap-and-
+  // popped out, which fixes the order the scheduler sees its views in (and
+  // with it every seeded schedule).
   static constexpr std::size_t kNoPos = static_cast<std::size_t>(-1);
 
-  void mark_nonempty(std::size_t c) {
+  void note_push(std::size_t c) {
     auto& ch = channels_[c];
-    if (ch.nonempty_pos != kNoPos) return;
-    ch.nonempty_pos = nonempty_.size();
-    nonempty_.push_back(c);
+    if (ch.view_pos == kNoPos) {
+      ch.view_pos = pending_.size();
+      const Item& head = ch.items.front();
+      pending_.push_back(ChannelView{c, 0, head.seq, head.stamp, ch.dir});
+    }
+    pending_[ch.view_pos].pending = ch.items.size();
   }
 
-  void unmark_if_empty(std::size_t c) {
+  void note_pop(std::size_t c) {
     auto& ch = channels_[c];
-    if (!ch.items.empty() || ch.nonempty_pos == kNoPos) return;
-    const std::size_t pos = ch.nonempty_pos;
-    const std::size_t moved = nonempty_.back();
-    nonempty_[pos] = moved;
-    channels_[moved].nonempty_pos = pos;
-    nonempty_.pop_back();
-    ch.nonempty_pos = kNoPos;
+    const std::size_t pos = ch.view_pos;
+    COLEX_ASSERT(pos != kNoPos);
+    if (!ch.items.empty()) {
+      ChannelView& view = pending_[pos];
+      view.pending = ch.items.size();
+      view.head_seq = ch.items.front().seq;
+      view.head_stamp = ch.items.front().stamp;
+      return;
+    }
+    pending_[pos] = pending_.back();
+    channels_[pending_[pos].channel].view_pos = pos;
+    pending_.pop_back();
+    ch.view_pos = kNoPos;
   }
 
   std::vector<NodeState> nodes_;
   std::vector<ChannelState> channels_;
-  std::vector<std::size_t> nonempty_;
+  std::vector<ChannelView> pending_;
   std::function<void(NodeId, Port, Direction)> send_observer_;
   std::uint64_t next_seq_ = 0;
   std::uint64_t stamp_ = 0;  // event step counter; sends in one react share it

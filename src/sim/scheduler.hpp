@@ -35,7 +35,9 @@ class Scheduler {
   virtual ~Scheduler() = default;
 
   /// `pending` is nonempty and lists every channel with pulses in flight.
-  /// Must return the `channel` id of one of the entries.
+  /// It is the network's own live view, not a copy: it is valid only during
+  /// the call and changes with the next delivery, so keep ids, never the
+  /// reference. Must return the `channel` id of one of the entries.
   virtual std::size_t pick(const std::vector<ChannelView>& pending) = 0;
 
   /// Human-readable name for reports.

@@ -72,6 +72,17 @@ TEST(JsonlRoundTrip, MetricsLineSurvives) {
   EXPECT_EQ(loaded.metrics_json, metrics.to_json());
 }
 
+TEST(JsonlRoundTrip, MetaStringEscapesSurvive) {
+  // Every escape write_escaped emits must decode back to its character.
+  TraceMeta meta;
+  meta.algorithm = "alg2\tnote\nline \"quoted\" C:\\dir\\";
+  meta.n = 1;
+  std::ostringstream out;
+  write_jsonl(out, {}, meta);
+  std::istringstream in(out.str());
+  EXPECT_EQ(load_jsonl(in).meta.algorithm, meta.algorithm);
+}
+
 TEST(JsonlLoad, RequiresMetaLine) {
   std::istringstream in(
       "{\"type\":\"event\",\"index\":0,\"kind\":\"send\",\"node\":0,"

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "colex.hpp"
+#include "sim/faults.hpp"
 
 namespace colex::sim {
 namespace {
@@ -323,6 +327,155 @@ TEST(Network, AutomatonAsRejectsWrongType) {
   EXPECT_THROW(net.automaton_as<Relay>(0), util::ContractViolation);
 }
 
+
+// --- schedule golden digests ------------------------------------------------
+//
+// The runner's scheduler-facing behaviour, pinned bit for bit: at every
+// `pick`, the number of views offered, every ChannelView (all five fields,
+// in offer order) and the choice made, folded into one FNV-1a digest per
+// run. Any change to how the network keeps its choice set must leave them
+// unchanged, or every seeded schedule (replays, fuzz repros, committed
+// traces) moves.
+
+/// Wraps a scheduler and digests what the runner offers it.
+class DigestScheduler final : public Scheduler {
+ public:
+  explicit DigestScheduler(Scheduler& inner) : inner_(inner) {}
+  std::size_t pick(const std::vector<ChannelView>& pending) override {
+    mix(pending.size());
+    for (const ChannelView& view : pending) {
+      mix(view.channel);
+      mix(view.pending);
+      mix(view.head_seq);
+      mix(view.head_stamp);
+      mix(static_cast<std::uint64_t>(view.dir));
+    }
+    const std::size_t choice = inner_.pick(pending);
+    mix(choice);
+    return choice;
+  }
+  std::string name() const override { return inner_.name(); }
+  void reset() override { inner_.reset(); }
+  std::uint64_t digest() const { return hash_; }
+
+ private:
+  void mix(std::uint64_t x) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash_ ^= (x >> (8 * byte)) & 0xffu;
+      hash_ *= 1099511628211ull;
+    }
+  }
+
+  Scheduler& inner_;
+  std::uint64_t hash_ = 14695981039346656037ull;
+};
+
+std::vector<std::uint64_t> golden_ids() {
+  return util::shuffled(util::dense_ids(32), 11);
+}
+
+PulseNetwork golden_alg2_net(const std::vector<std::uint64_t>& ids) {
+  auto net = PulseNetwork::ring(ids.size());
+  for (NodeId v = 0; v < ids.size(); ++v) {
+    net.set_automaton(v, std::make_unique<co::Alg2Terminating>(ids[v]));
+  }
+  return net;
+}
+
+/// A walk with every bias on, so its weights read every view field.
+std::unique_ptr<Scheduler> golden_walk(std::uint64_t seed) {
+  WalkScheduler::Profile profile;
+  profile.lifo = 3;
+  profile.fifo = 5;
+  profile.stick = 7;
+  profile.cw = 2;
+  profile.ccw = 1;
+  return std::make_unique<WalkScheduler>(seed, profile);
+}
+
+std::uint64_t alg2_digest(Scheduler& inner, const RunOptions& opts = {}) {
+  const auto ids = golden_ids();
+  DigestScheduler digest(inner);
+  const auto result = co::elect_oriented_terminating(ids, digest, opts);
+  EXPECT_TRUE(result.valid_election()) << inner.name();
+  EXPECT_EQ(result.pulses, co::theorem1_pulses(ids.size(), ids.size()))
+      << inner.name();
+  return digest.digest();
+}
+
+TEST(ScheduleGolden, Alg2UnderEveryStandardScheduler) {
+  const std::vector<std::pair<std::string, std::uint64_t>> golden{
+      {"global-fifo", 0xf87e252b01e18dc8ull},
+      {"global-lifo", 0x13efbfb04f8894b1ull},
+      {"round-robin", 0x21495f5f8814336full},
+      {"drain-channel", 0x50df917345b163d8ull},
+      {"starve-cw", 0xeb67ae4633ee3cf3ull},
+      {"starve-ccw", 0xfdde41178f7d7cdbull},
+      {"solitude", 0xf87e252b01e18dc8ull},
+      {"eclipse-0", 0xf3595027e6733d68ull},
+      {"bursty-1", 0x389cd74830c3a6a1ull},
+      {"random-1", 0xd868719a571f1d4bull},
+      {"random-2", 0xbad3316bc09b0daaull},
+  };
+  auto suite = standard_schedulers(2);
+  ASSERT_EQ(suite.size(), golden.size());
+  for (std::size_t i = 0; i < suite.size(); ++i) {
+    EXPECT_EQ(suite[i].name, golden[i].first);
+    EXPECT_EQ(alg2_digest(*suite[i].scheduler), golden[i].second)
+        << suite[i].name;
+  }
+}
+
+TEST(ScheduleGolden, Alg2UnderWalkAndMix) {
+  auto walk = golden_walk(5);
+  EXPECT_EQ(alg2_digest(*walk), 0x8c0f4787c8f57082ull);
+
+  std::vector<std::unique_ptr<Scheduler>> parts;
+  parts.push_back(std::make_unique<GlobalLifoScheduler>());
+  parts.push_back(std::make_unique<DrainChannelScheduler>());
+  parts.push_back(golden_walk(6));
+  parts.push_back(std::make_unique<SolitudeScheduler>());
+  MixScheduler mix(9, std::move(parts));
+  EXPECT_EQ(alg2_digest(mix), 0x39eb531cea541eccull);
+}
+
+TEST(ScheduleGolden, Alg2WithInterleavedStarts) {
+  RandomScheduler random(4);
+  RunOptions opts;
+  opts.interleave_starts = true;
+  opts.interleave_seed = 21;
+  EXPECT_EQ(alg2_digest(random, opts), 0x3fe3063d870e6da4ull);
+}
+
+TEST(ScheduleGolden, FaultyRunWithEveryScriptedFault) {
+  // Every queue mutation the runner's bookkeeping must follow: a push that
+  // keeps the head (duplicate), a push from nowhere (spurious), a pop
+  // outside delivery (drop), and a crash/recover whose restart sends anew.
+  const auto ids = golden_ids();
+  FaultPlan plan;
+  plan.script = {
+      ScriptedFault{FaultKind::duplicate, 40, 4, 0},
+      ScriptedFault{FaultKind::spurious, 60, 12, 0},
+      ScriptedFault{FaultKind::drop, 90, 8, 0},
+      ScriptedFault{FaultKind::crash, 120, 0, 9},
+      ScriptedFault{FaultKind::recover, 400, 0, 9},
+  };
+  auto factory = [&ids](NodeId v) {
+    return std::make_unique<co::Alg2Terminating>(ids[v]);
+  };
+  FaultyNetwork faulty(golden_alg2_net(ids), plan, factory);
+  auto walk = golden_walk(8);
+  DigestScheduler digest(*walk);
+  RunOptions opts;
+  opts.max_events = 200'000;
+  const auto run = faulty.run(digest, opts);
+  EXPECT_EQ(run.tallies.duplicated, 1u);
+  EXPECT_EQ(run.tallies.spurious, 1u);
+  EXPECT_EQ(run.tallies.dropped, 1u);
+  EXPECT_EQ(run.tallies.crashes, 1u);
+  EXPECT_EQ(run.tallies.recoveries, 1u);
+  EXPECT_EQ(digest.digest(), 0x708f12052fefc711ull);
+}
 
 // --- payload-generic behaviour (used by the baselines) ------------------
 
