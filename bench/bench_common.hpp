@@ -22,6 +22,8 @@
 #include <utility>
 #include <vector>
 
+#include "util/json.hpp"
+
 namespace colex::bench {
 
 inline void banner(const std::string& experiment, const std::string& claim) {
@@ -147,7 +149,7 @@ class Json {
         os << scalar_;
         break;
       case Kind::string:
-        write_escaped(os, scalar_);
+        util::json::write_escaped(os, scalar_);
         break;
       case Kind::object: {
         if (members_.empty()) {
@@ -157,7 +159,7 @@ class Json {
         os << "{\n";
         for (std::size_t i = 0; i < members_.size(); ++i) {
           os << inner;
-          write_escaped(os, members_[i].first);
+          util::json::write_escaped(os, members_[i].first);
           os << ": ";
           members_[i].second.dump(os, indent + 2);
           os << (i + 1 < members_.size() ? ",\n" : "\n");
@@ -192,28 +194,6 @@ class Json {
     } else {
       return Json::of(std::forward<T>(value));
     }
-  }
-
-  static void write_escaped(std::ostream& os, const std::string& s) {
-    os << '"';
-    for (const char c : s) {
-      switch (c) {
-        case '"': os << "\\\""; break;
-        case '\\': os << "\\\\"; break;
-        case '\n': os << "\\n"; break;
-        case '\t': os << "\\t"; break;
-        default:
-          if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof buf, "\\u%04x",
-                          static_cast<unsigned>(c));
-            os << buf;
-          } else {
-            os << c;
-          }
-      }
-    }
-    os << '"';
   }
 
   Kind kind_ = Kind::null;

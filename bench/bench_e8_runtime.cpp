@@ -26,37 +26,25 @@ int main() {
                      "all exact", "leader match", "wall ms/run"});
   bool all_ok = true;
 
-  struct Config {
-    rt::ThreadAlg alg;
-    const char* name;
-  };
-  const Config configs[] = {
-      {rt::ThreadAlg::alg1, "alg1"},
-      {rt::ThreadAlg::alg2, "alg2"},
-      {rt::ThreadAlg::alg3_improved, "alg3-improved"},
-  };
 
   for (const std::size_t n : {2u, 4u, 8u, 16u, 24u}) {
     const auto ids = util::shuffled(util::dense_ids(n), n * 13 + 2);
     sim::RandomScheduler sched(n);
     const auto simulated = co::elect_oriented_terminating(ids, sched);
 
-    for (const auto& config : configs) {
+    for (const rt::ThreadAlg alg : {rt::ThreadAlg::alg1, rt::ThreadAlg::alg2,
+                                    rt::ThreadAlg::alg3_improved}) {
       const int repeats = 5;
       bool exact = true, leader_match = true;
       std::uint64_t thread_pulses = 0;
       const auto t0 = std::chrono::steady_clock::now();
       for (int r = 0; r < repeats; ++r) {
-        const auto threaded = rt::run_on_threads(ids, {}, config.alg);
+        const auto threaded = rt::run_on_threads(ids, {}, alg);
         exact = exact && threaded.completed;
         thread_pulses = threaded.pulses;
         // All three algorithms elect the same leader; alg1's pulse count is
         // n*IDmax, alg2 and alg3-improved cost n(2*IDmax+1).
-        const std::uint64_t expected =
-            config.alg == rt::ThreadAlg::alg1
-                ? n * static_cast<std::uint64_t>(n)
-                : co::theorem1_pulses(n, n);
-        exact = exact && threaded.pulses == expected;
+        exact = exact && threaded.pulses == rt::pulse_bound(alg, n, n);
         leader_match = leader_match && threaded.leader == simulated.leader &&
                        threaded.leader_count == 1;
       }
@@ -66,7 +54,7 @@ int main() {
           repeats;
       all_ok = all_ok && exact && leader_match;
       table.add_row({util::Table::num(static_cast<std::uint64_t>(n)),
-                     config.name, util::Table::num(std::uint64_t{repeats}),
+                     rt::to_string(alg), util::Table::num(std::uint64_t{repeats}),
                      util::Table::num(simulated.pulses),
                      util::Table::num(thread_pulses), exact ? "yes" : "NO",
                      leader_match ? "yes" : "NO", util::Table::fixed(ms, 2)});

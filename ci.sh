@@ -295,13 +295,23 @@ echo "==> [e12-smoke] bench_e12_exhaustive --smoke"
 
 # 9. Observability smoke: E1 exports an instrumented trace, and the
 #    inspector must load it, audit conservation, and confirm the Theorem 1
-#    pulse bound from the recorded stream alone.
+#    pulse bound from the recorded stream alone; a trace with an
+#    out-of-range number must be refused.
 echo "==> [obs-smoke] bench_e1_theorem1 --smoke + colex-inspect check"
 (cd build && ./bench/bench_e1_theorem1 --smoke \
   && ./tools/colex-inspect check TRACE_E1.jsonl | tee /dev/stderr \
      | grep -q "theorem1-bound: OK" \
   && ./tools/colex-inspect chrome TRACE_E1.jsonl TRACE_E1.chrome.json \
   && ./tools/colex-inspect diff TRACE_E1.jsonl TRACE_E1.jsonl >/dev/null)
+# Negative leg: a deliver event whose port is 2^64+1 must fail to load
+# (exit 2), not wrap to port 1 and audit clean.
+inspect_rc=0
+./build/tools/colex-inspect check tests/data/overflow_port_trace.jsonl \
+  > /dev/null 2>&1 || inspect_rc=$?
+if [ "$inspect_rc" -ne 2 ]; then
+  echo "==> [obs-smoke] FAIL: overflow_port_trace.jsonl exit $inspect_rc (want 2)"
+  exit 1
+fi
 
 # 10. Fuzz smoke (on the sanitized build, so every generated schedule and
 #    fault plan also runs under ASan+UBSan): a fixed-seed clean+faulty

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "co/alg3.hpp"
+#include "co/bounds.hpp"
 #include "co/roles.hpp"
 #include "co/sampling.hpp"
 #include "sim/network.hpp"
@@ -75,14 +76,6 @@ struct AnonymousResult {
   bool sampled_unique_max = false;
 };
 
-/// Exact message-complexity formulas from the paper.
-constexpr std::uint64_t theorem1_pulses(std::uint64_t n,
-                                        std::uint64_t id_max) {
-  return n * (2 * id_max + 1);  // Theorems 1 and 2
-}
-constexpr std::uint64_t prop15_pulses(std::uint64_t n, std::uint64_t id_max) {
-  return n * (4 * id_max - 1);
-}
 /// Theorem 4 lower bound: n * floor(log2(k / n)) pulses when k >= n IDs are
 /// assignable.
 std::uint64_t theorem4_lower_bound(std::uint64_t n, std::uint64_t k);

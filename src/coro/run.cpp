@@ -1,7 +1,5 @@
 #include "coro/run.hpp"
 
-#include <algorithm>
-
 #include "util/contracts.hpp"
 
 namespace colex::coro {
@@ -37,22 +35,12 @@ CoroRunResult run_on_coro(const std::vector<std::uint64_t>& ids,
   }
   rt::tally_leaders(result);
   if (options.metrics != nullptr) {
-    // Per-phase pulse/wait series plus the Theorem 1 margin, mirroring
+    // Per-phase pulse/wait series plus the pulse-bound margin, mirroring
     // run_on_threads (the coroutine fabric is clean: no injected pulses to
     // exclude).
     rt::publish_phase_pulses(*options.metrics, "coro.pulses", result.outcomes,
                              "coro.waits");
-    const std::uint64_t id_max = *std::max_element(ids.begin(), ids.end());
-    std::uint64_t bound = 0;
-    switch (alg) {
-      case rt::ThreadAlg::alg1: bound = n * id_max; break;
-      case rt::ThreadAlg::alg2: bound = n * (2 * id_max + 1); break;
-      case rt::ThreadAlg::alg3_doubled: bound = n * (4 * id_max - 1); break;
-      case rt::ThreadAlg::alg3_improved: bound = n * (2 * id_max + 1); break;
-    }
-    options.metrics->gauge("coro.pulse_bound").set(static_cast<double>(bound));
-    options.metrics->gauge("coro.pulse_margin")
-        .set(static_cast<double>(bound) - static_cast<double>(result.pulses));
+    rt::publish_pulse_bound(*options.metrics, "coro", alg, ids, result.pulses);
   }
   return result;
 }

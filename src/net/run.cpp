@@ -4,7 +4,6 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <string>
 #include <thread>
 
@@ -13,17 +12,6 @@
 namespace colex::net {
 
 namespace {
-
-std::uint64_t pulse_bound(std::size_t n, std::uint64_t id_max,
-                          rt::ThreadAlg alg) {
-  switch (alg) {
-    case rt::ThreadAlg::alg1: return n * id_max;
-    case rt::ThreadAlg::alg2: return n * (2 * id_max + 1);
-    case rt::ThreadAlg::alg3_doubled: return n * (4 * id_max - 1);
-    case rt::ThreadAlg::alg3_improved: return n * (2 * id_max + 1);
-  }
-  return 0;
-}
 
 void publish_metrics(obs::Registry& metrics, const SocketRunResult& result,
                      const std::vector<std::uint64_t>& ids,
@@ -38,11 +26,7 @@ void publish_metrics(obs::Registry& metrics, const SocketRunResult& result,
   metrics.counter("net.reports").inc(result.wire.reports);
   metrics.counter("net.probe_acks").inc(result.wire.probe_acks);
   metrics.counter("net.probe_rounds").inc(cres.probe_rounds);
-  const std::uint64_t id_max = *std::max_element(ids.begin(), ids.end());
-  const std::uint64_t bound = pulse_bound(ids.size(), id_max, alg);
-  metrics.gauge("net.pulse_bound").set(static_cast<double>(bound));
-  metrics.gauge("net.pulse_margin")
-      .set(static_cast<double>(bound) - static_cast<double>(result.pulses));
+  rt::publish_pulse_bound(metrics, "net", alg, ids, result.pulses);
 }
 
 }  // namespace

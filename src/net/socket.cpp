@@ -10,8 +10,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <chrono>
-
 namespace colex::net {
 
 namespace {
@@ -28,12 +26,6 @@ sockaddr_in loopback_addr(std::uint16_t port) {
   return addr;
 }
 
-std::int64_t steady_ns() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 }  // namespace
 
 void Fd::reset() {
@@ -42,21 +34,6 @@ void Fd::reset() {
     fd_ = -1;
   }
 }
-
-Deadline Deadline::in_ms(std::uint64_t ms) {
-  Deadline d;
-  d.at_ns_ = steady_ns() + static_cast<std::int64_t>(ms) * 1'000'000;
-  return d;
-}
-
-int Deadline::remaining_ms(int cap_ms) const {
-  const std::int64_t left_ns = at_ns_ - steady_ns();
-  if (left_ns <= 0) return 0;
-  const std::int64_t ms = left_ns / 1'000'000 + 1;
-  return ms > cap_ms ? cap_ms : static_cast<int>(ms);
-}
-
-bool Deadline::expired() const { return steady_ns() >= at_ns_; }
 
 Fd listen_on(std::uint16_t port, std::uint16_t* bound_port,
              std::string* err) {
@@ -159,31 +136,6 @@ Fd accept_one(int listener, const Deadline& deadline, std::string* err) {
       return {};
     }
   }
-}
-
-bool send_all(int fd, const unsigned char* data, std::size_t len,
-              const Deadline& deadline, std::string* err) {
-  std::size_t off = 0;
-  while (off < len) {
-    const ssize_t n = ::send(fd, data + off, len - off, MSG_NOSIGNAL);
-    if (n > 0) {
-      off += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      pollfd pfd{fd, POLLOUT, 0};
-      ::poll(&pfd, 1, deadline.remaining_ms());
-      if (deadline.expired()) {
-        if (err != nullptr) *err = "send: deadline expired";
-        return false;
-      }
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    if (err != nullptr) *err = errno_string("send");
-    return false;
-  }
-  return true;
 }
 
 bool set_nonblocking(int fd, std::string* err) {

@@ -1,6 +1,6 @@
 // Thin POSIX socket layer for the src/net backend: RAII file descriptors,
-// monotonic deadlines, loopback listen/connect with refused-vs-fatal
-// classification, and EAGAIN-safe bulk writes. Everything is
+// loopback listen/connect with refused-vs-fatal classification, and (from
+// util/io.hpp) monotonic deadlines and EAGAIN-safe bulk writes. Everything is
 // loopback-oriented (the multi-process harness runs rings on 127.0.0.1)
 // but nothing below assumes it except the connect helpers' address.
 //
@@ -13,6 +13,8 @@
 #include <cstdint>
 #include <string>
 #include <utility>
+
+#include "util/io.hpp"
 
 namespace colex::net {
 
@@ -43,19 +45,7 @@ class Fd {
   int fd_ = -1;
 };
 
-/// Monotonic-clock deadline (steady_clock; wall-clock never appears in the
-/// backend, so runs cannot be confused by clock steps).
-class Deadline {
- public:
-  /// A deadline `ms` milliseconds from now.
-  static Deadline in_ms(std::uint64_t ms);
-  /// Milliseconds until expiry, clamped to [0, cap_ms] for poll().
-  int remaining_ms(int cap_ms = 100) const;
-  bool expired() const;
-
- private:
-  std::int64_t at_ns_ = 0;  ///< steady-clock nanoseconds at expiry
-};
+using util::Deadline;
 
 /// Classified outcome of a single non-retried connect attempt.
 enum class ConnectStatus {
@@ -88,10 +78,7 @@ Fd connect_retry(std::uint16_t port, const Deadline& deadline,
 /// Fd with `err` set on failure or expiry.
 Fd accept_one(int listener, const Deadline& deadline, std::string* err);
 
-/// Writes all `len` bytes (MSG_NOSIGNAL; EAGAIN waits for POLLOUT within
-/// the deadline). Returns false with `err` set on failure.
-bool send_all(int fd, const unsigned char* data, std::size_t len,
-              const Deadline& deadline, std::string* err);
+using util::send_all;
 
 /// Marks the descriptor non-blocking (the per-node event loop reads with
 /// O_NONBLOCK and blocks only in poll()).

@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "util/contracts.hpp"
+#include "util/json.hpp"
 
 namespace colex::obs {
 
@@ -30,69 +31,6 @@ bool kind_from_string(const std::string& s, sim::TraceEvent::Kind& out) {
   return false;
 }
 
-void write_escaped(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default: os << c;
-    }
-  }
-  os << '"';
-}
-
-// Minimal extraction from one line of OUR OWN JSONL output (flat objects,
-// no nesting inside the extracted keys). Not a general JSON parser.
-bool find_raw(const std::string& line, const std::string& key,
-              std::size_t& value_begin) {
-  const std::string needle = "\"" + key + "\":";
-  const auto at = line.find(needle);
-  if (at == std::string::npos) return false;
-  value_begin = at + needle.size();
-  return true;
-}
-
-bool find_u64(const std::string& line, const std::string& key,
-              std::uint64_t& out) {
-  std::size_t begin = 0;
-  if (!find_raw(line, key, begin)) return false;
-  out = 0;
-  bool any = false;
-  while (begin < line.size() && line[begin] >= '0' && line[begin] <= '9') {
-    out = out * 10 + static_cast<std::uint64_t>(line[begin] - '0');
-    ++begin;
-    any = true;
-  }
-  return any;
-}
-
-bool find_string(const std::string& line, const std::string& key,
-                 std::string& out) {
-  std::size_t begin = 0;
-  if (!find_raw(line, key, begin)) return false;
-  if (begin >= line.size() || line[begin] != '"') return false;
-  ++begin;
-  out.clear();
-  // Decodes exactly what write_escaped emits: \" \\ \n \t.
-  while (begin < line.size() && line[begin] != '"') {
-    if (line[begin] == '\\' && begin + 1 < line.size()) {
-      ++begin;
-      switch (line[begin]) {
-        case 'n': out += '\n'; break;
-        case 't': out += '\t'; break;
-        default: out += line[begin];
-      }
-    } else {
-      out += line[begin];
-    }
-    ++begin;
-  }
-  return begin < line.size();
-}
-
 void write_event_json(std::ostream& os, const sim::TraceEvent& e) {
   os << "{\"type\":\"event\",\"index\":" << e.index << ",\"kind\":\""
      << sim::to_string(e.kind) << "\",\"node\":" << e.node
@@ -102,7 +40,7 @@ void write_event_json(std::ostream& os, const sim::TraceEvent& e) {
 
 void write_meta_json(std::ostream& os, const TraceMeta& meta) {
   os << "{\"type\":\"meta\",\"format\":\"colex-trace-v1\",\"algorithm\":";
-  write_escaped(os, meta.algorithm);
+  util::json::write_escaped(os, meta.algorithm);
   os << ",\"n\":" << meta.n << ",\"id_max\":" << meta.id_max
      << ",\"pulse_bound\":" << meta.pulse_bound() << ",\"port_flips\":[";
   for (std::size_t v = 0; v < meta.port_flips.size(); ++v) {
@@ -137,6 +75,9 @@ std::string to_jsonl(const std::vector<sim::TraceEvent>& events,
 }
 
 LoadedTrace load_jsonl(std::istream& is) {
+  using util::json::find_raw;
+  using util::json::find_string;
+  using util::json::find_u64;
   LoadedTrace out;
   std::string line;
   bool have_meta = false;
@@ -154,13 +95,11 @@ LoadedTrace load_jsonl(std::istream& is) {
       std::uint64_t n = 0;
       if (find_u64(line, "n", n)) out.meta.n = static_cast<std::size_t>(n);
       find_u64(line, "id_max", out.meta.id_max);
-      std::size_t begin = 0;
-      if (find_raw(line, "port_flips", begin) && begin < line.size() &&
-          line[begin] == '[') {
-        for (++begin; begin < line.size() && line[begin] != ']'; ++begin) {
-          if (line[begin] == '0') out.meta.port_flips.push_back(false);
-          if (line[begin] == '1') out.meta.port_flips.push_back(true);
-        }
+      std::vector<std::uint64_t> flips;
+      util::json::find_u64_array(line, "port_flips", flips);
+      for (const std::uint64_t f : flips) {
+        COLEX_EXPECTS(f <= 1);
+        out.meta.port_flips.push_back(f == 1);
       }
     } else if (type == "event") {
       sim::TraceEvent e;

@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "co/bounds.hpp"
 #include "obs/metrics.hpp"
 #include "sim/trace.hpp"
 
@@ -39,7 +40,7 @@ struct TraceMeta {
 
   /// Theorem 1/2 pulse bound n(2*IDmax+1), or 0 when inputs are unknown.
   std::uint64_t pulse_bound() const {
-    return (n == 0 || id_max == 0) ? 0 : n * (2 * id_max + 1);
+    return (n == 0 || id_max == 0) ? 0 : co::theorem1_pulses(n, id_max);
   }
 };
 

@@ -12,6 +12,8 @@
 #include <vector>
 
 #include "util/contracts.hpp"
+#include "util/io.hpp"
+#include "util/json.hpp"
 
 namespace colex::obs {
 
@@ -212,42 +214,21 @@ class SnapshotParser {
     for (const char* p = lit; *p != '\0'; ++p) expect(*p);
   }
 
-  /// Quoted string, undoing Registry::write_escaped_name.
   std::string parse_name() {
-    expect('"');
     std::string out;
-    while (i_ < s_.size() && s_[i_] != '"') {
-      char c = s_[i_++];
-      if (c == '\\') {
-        COLEX_EXPECTS(i_ < s_.size());
-        const char e = s_[i_++];
-        switch (e) {
-          case 'n': c = '\n'; break;
-          case 't': c = '\t'; break;
-          default: c = e;  // \" and \\ (and anything else verbatim)
-        }
-      }
-      out.push_back(c);
-    }
-    expect('"');
+    COLEX_EXPECTS(util::json::read_string(s_, i_, out));
     return out;
   }
 
   double parse_double() {
-    const char* begin = s_.c_str() + i_;
-    char* end = nullptr;
-    const double v = std::strtod(begin, &end);
-    COLEX_EXPECTS(end != begin);
-    i_ += static_cast<std::size_t>(end - begin);
+    double v = 0;
+    COLEX_EXPECTS(util::json::read_double(s_, i_, v));
     return v;
   }
 
   std::uint64_t parse_u64() {
-    const char* begin = s_.c_str() + i_;
-    char* end = nullptr;
-    const std::uint64_t v = std::strtoull(begin, &end, 10);
-    COLEX_EXPECTS(end != begin);
-    i_ += static_cast<std::size_t>(end - begin);
+    std::uint64_t v = 0;
+    COLEX_EXPECTS(util::json::read_u64(s_, i_, v));
     return v;
   }
 
@@ -330,17 +311,6 @@ std::string make_response(int status, const char* reason,
      << "Connection: close\r\n\r\n"
      << body;
   return os.str();
-}
-
-bool send_all(int fd, const std::string& data) {
-  std::size_t off = 0;
-  while (off < data.size()) {
-    const ssize_t n =
-        ::send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
-    if (n <= 0) return false;
-    off += static_cast<std::size_t>(n);
-  }
-  return true;
 }
 
 void set_recv_timeout(int fd, int seconds) {
@@ -442,7 +412,8 @@ void MetricsServer::serve_loop() {
         path.empty()
             ? make_response(400, "Bad Request", "text/plain", "bad request\n")
             : respond(path);
-    send_all(client, response);
+    util::send_all(client, response.data(), response.size(),
+                   util::Deadline::in_ms(2000), nullptr);
     ::close(client);
   }
 }
@@ -464,7 +435,8 @@ bool http_get(const std::string& host, std::uint16_t port,
   }
   const std::string request = "GET " + path + " HTTP/1.1\r\nHost: " + host +
                               "\r\nConnection: close\r\n\r\n";
-  if (!send_all(fd, request)) {
+  if (!util::send_all(fd, request.data(), request.size(),
+                      util::Deadline::in_ms(5000), nullptr)) {
     ::close(fd);
     return false;
   }

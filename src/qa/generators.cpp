@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "co/alg3.hpp"
+#include "co/bounds.hpp"
 #include "co/sampling.hpp"
 #include "util/contracts.hpp"
 #include "util/rng.hpp"
@@ -46,9 +47,9 @@ std::uint64_t FuzzCase::effective_id_max() const {
 
 std::uint64_t FuzzCase::pulse_bound() const {
   const std::uint64_t m = effective_id_max();
-  // n(2*IDmax+1) over the effective IDmax covers all three formulas: for the
+  // Theorem 1 over the effective IDmax covers all three formulas: for the
   // doubled scheme 2*(2*IDmax-1)+1 = 4*IDmax-1, Proposition 15 exactly.
-  return m == 0 ? 0 : ids.size() * (2 * m + 1);
+  return m == 0 ? 0 : co::theorem1_pulses(ids.size(), m);
 }
 
 bool operator==(const FuzzCase& a, const FuzzCase& b) {

@@ -11,7 +11,6 @@
 #include "co/oriented.hpp"
 #include "coro/run.hpp"
 #include "net/run.hpp"
-#include "runtime/blocking_algs.hpp"
 #include "sim/explore.hpp"
 #include "sim/faults.hpp"
 #include "util/contracts.hpp"
@@ -128,11 +127,14 @@ sim::PulseNetwork build_case_network(const FuzzCase& c) {
   return net;
 }
 
+rt::ThreadAlg thread_alg(Algorithm a) {
+  // Every other algorithm has a transcription of the same name.
+  if (a == Algorithm::alg4) return rt::ThreadAlg::alg3_improved;
+  return rt::from_string(to_string(a)).value();
+}
+
 std::uint64_t exact_pulses(const FuzzCase& c) {
-  // Corollary 13: Algorithm 1 quiesces with every node having sent exactly
-  // IDmax pulses; the terminating and non-oriented algorithms meet their
-  // n(2*IDmax+1)-shaped bounds with equality (Theorems 1-2, Prop. 15).
-  return c.alg == Algorithm::alg1 ? c.n() * c.id_max() : c.pulse_bound();
+  return rt::pulse_bound(thread_alg(c.alg), c.n(), c.id_max());
 }
 
 RunOutcome execute_case(const FuzzCase& c) {
@@ -370,81 +372,59 @@ std::string check_engine_agreement(const FuzzCase& c, std::uint64_t budget) {
 std::string check_runtime_agreement(const FuzzCase& c,
                                     std::uint64_t timeout_ms) {
   COLEX_EXPECTS(c.clean());
-  rt::ThreadAlg alg = rt::ThreadAlg::alg3_improved;
-  switch (c.alg) {
-    case Algorithm::alg1: alg = rt::ThreadAlg::alg1; break;
-    case Algorithm::alg2: alg = rt::ThreadAlg::alg2; break;
-    case Algorithm::alg3_doubled: alg = rt::ThreadAlg::alg3_doubled; break;
-    case Algorithm::alg3_improved:
-    case Algorithm::alg4: alg = rt::ThreadAlg::alg3_improved; break;
-  }
+  const rt::ThreadAlg alg = thread_alg(c.alg);
+  const std::uint64_t expected = exact_pulses(c);
   const RunOutcome sim_run = execute_case(c);
-  const rt::ThreadRunResult threaded =
-      rt::run_on_threads(c.ids, c.port_flips, alg, timeout_ms);
-  if (!threaded.completed) {
-    return "thread runtime did not settle: " + threaded.stall_dump;
+  if (sim_run.counters.sent != expected) {
+    return "pulse count: sim " + std::to_string(sim_run.counters.sent) +
+           ", paper predicts " + std::to_string(expected);
   }
-  if (threaded.leader_count != sim_run.leader_count) {
-    return "leader count: runtime " + std::to_string(threaded.leader_count) +
-           " vs sim " + std::to_string(sim_run.leader_count);
+  // One substrate leg: it must settle and agree with the simulator on the
+  // leader and the exact pulse count.
+  auto compare = [&](const std::string& label,
+                     const rt::TransportRunResult& r) -> std::string {
+    if (!r.completed) {
+      return label + " runtime did not settle: " + r.stall_dump;
+    }
+    if (r.leader_count != sim_run.leader_count) {
+      return "leader count: " + label + " " + std::to_string(r.leader_count) +
+             " vs sim " + std::to_string(sim_run.leader_count);
+    }
+    if (r.leader != sim_run.leader) {
+      return "leader identity differs between " + label + " runtime and sim";
+    }
+    if (r.pulses != expected) {
+      return "pulse count: " + label + " runtime " +
+             std::to_string(r.pulses) + ", paper predicts " +
+             std::to_string(expected);
+    }
+    return {};
+  };
+  std::string diag =
+      compare("thread", rt::run_on_threads(c.ids, c.port_flips, alg,
+                                           timeout_ms));
+  // The coroutine executor runs with two workers so the work-stealing and
+  // sleep/wake paths are actually exercised.
+  if (diag.empty()) {
+    diag = compare("coro", coro::run_on_coro(c.ids, c.port_flips, alg,
+                                             {2, timeout_ms, nullptr}));
   }
-  if (threaded.leader != sim_run.leader) {
-    return "leader identity differs between runtime and sim";
-  }
-  if (threaded.pulses != exact_pulses(c) ||
-      sim_run.counters.sent != exact_pulses(c)) {
-    return "pulse counts: runtime " + std::to_string(threaded.pulses) +
-           ", sim " + std::to_string(sim_run.counters.sent) +
-           ", paper predicts " + std::to_string(exact_pulses(c));
-  }
-  // Third substrate: the coroutine executor, with two workers so the
-  // work-stealing and sleep/wake paths are actually exercised.
-  const coro::CoroRunResult coroed =
-      coro::run_on_coro(c.ids, c.port_flips, alg, {2, timeout_ms, nullptr});
-  if (!coroed.completed) {
-    return "coro runtime did not settle: " + coroed.stall_dump;
-  }
-  if (coroed.leader_count != sim_run.leader_count) {
-    return "leader count: coro " + std::to_string(coroed.leader_count) +
-           " vs sim " + std::to_string(sim_run.leader_count);
-  }
-  if (coroed.leader != sim_run.leader) {
-    return "leader identity differs between coro runtime and sim";
-  }
-  if (coroed.pulses != exact_pulses(c)) {
-    return "pulse count: coro runtime " + std::to_string(coroed.pulses) +
-           ", paper predicts " + std::to_string(exact_pulses(c));
-  }
-  // Fourth substrate: real TCP sockets on loopback — small rings only (each
-  // node costs a thread plus four descriptors, and the oracle runs inside
-  // fuzz campaigns).
-  if (c.n() <= 8) {
+  // Real TCP sockets on loopback — small rings only (each node costs a
+  // thread plus four descriptors, and the oracle runs inside fuzz
+  // campaigns).
+  if (diag.empty() && c.n() <= 8) {
     net::SocketRunOptions sopts;
     sopts.timeout_ms = timeout_ms;
     const net::SocketRunResult socketed =
         net::run_on_sockets(c.ids, c.port_flips, alg, sopts);
-    if (!socketed.completed) {
-      return "socket runtime did not settle: " + socketed.stall_dump;
-    }
-    if (socketed.leader_count != sim_run.leader_count) {
-      return "leader count: socket " + std::to_string(socketed.leader_count) +
-             " vs sim " + std::to_string(sim_run.leader_count);
-    }
-    if (socketed.leader != sim_run.leader) {
-      return "leader identity differs between socket runtime and sim";
-    }
-    if (socketed.pulses != exact_pulses(c)) {
-      return "pulse count: socket runtime " +
-             std::to_string(socketed.pulses) + ", paper predicts " +
-             std::to_string(exact_pulses(c));
-    }
-    if (socketed.consumed != socketed.pulses) {
-      return "socket runtime conservation: sent " +
+    diag = compare("socket", socketed);
+    if (diag.empty() && socketed.consumed != socketed.pulses) {
+      diag = "socket runtime conservation: sent " +
              std::to_string(socketed.pulses) + " != consumed " +
              std::to_string(socketed.consumed);
     }
   }
-  return {};
+  return diag;
 }
 
 }  // namespace colex::qa

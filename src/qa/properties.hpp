@@ -22,6 +22,7 @@
 
 #include "co/roles.hpp"
 #include "qa/generators.hpp"
+#include "runtime/blocking_algs.hpp"
 #include "sim/network.hpp"
 #include "sim/trace.hpp"
 
@@ -72,9 +73,14 @@ sim::PulseNetwork build_case_network(const FuzzCase& c);
 std::unique_ptr<sim::PulseAutomaton> make_automaton(const FuzzCase& c,
                                                     sim::NodeId v);
 
+/// The runtime transcription that runs `a` off the simulator; Algorithm 4's
+/// pipeline elects with Algorithm 3 over the improved scheme.
+rt::ThreadAlg thread_alg(Algorithm a);
+
 /// The exact pulse count the paper predicts for a clean quiescent run of
-/// this case: Corollary 13's n*IDmax for Algorithm 1, the pulse_bound()
-/// formula (which the other algorithms meet with equality) otherwise.
+/// this case: rt::pulse_bound of its transcription, i.e. Corollary 13's
+/// n*IDmax for Algorithm 1 and FuzzCase::pulse_bound() (which the other
+/// algorithms meet with equality) otherwise.
 std::uint64_t exact_pulses(const FuzzCase& c);
 
 /// Executes the case once (tape replay if c.tape is non-empty, else the

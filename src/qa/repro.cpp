@@ -1,7 +1,6 @@
 #include "qa/repro.hpp"
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <istream>
 #include <limits>
@@ -9,106 +8,17 @@
 #include <sstream>
 
 #include "util/contracts.hpp"
+#include "util/json.hpp"
 
 namespace colex::qa {
 
 namespace {
 
-// Minimal extraction from one line of OUR OWN JSONL output (flat objects,
-// no nesting inside the extracted keys) — same dialect as obs/export.cpp.
-bool find_raw(const std::string& line, const std::string& key,
-              std::size_t& value_begin) {
-  const std::string needle = "\"" + key + "\":";
-  const auto at = line.find(needle);
-  if (at == std::string::npos) return false;
-  value_begin = at + needle.size();
-  return true;
-}
-
-bool find_u64(const std::string& line, const std::string& key,
-              std::uint64_t& out) {
-  std::size_t begin = 0;
-  if (!find_raw(line, key, begin)) return false;
-  out = 0;
-  bool any = false;
-  while (begin < line.size() && line[begin] >= '0' && line[begin] <= '9') {
-    out = out * 10 + static_cast<std::uint64_t>(line[begin] - '0');
-    ++begin;
-    any = true;
-  }
-  return any;
-}
-
-bool find_string(const std::string& line, const std::string& key,
-                 std::string& out) {
-  std::size_t begin = 0;
-  if (!find_raw(line, key, begin)) return false;
-  if (begin >= line.size() || line[begin] != '"') return false;
-  ++begin;
-  out.clear();
-  while (begin < line.size() && line[begin] != '"') {
-    if (line[begin] == '\\' && begin + 1 < line.size()) {
-      ++begin;
-      switch (line[begin]) {
-        case 'n': out += '\n'; break;
-        case 't': out += '\t'; break;
-        default: out += line[begin];
-      }
-    } else {
-      out += line[begin];
-    }
-    ++begin;
-  }
-  return begin < line.size();
-}
-
-bool find_double(const std::string& line, const std::string& key,
-                 double& out) {
-  std::size_t begin = 0;
-  if (!find_raw(line, key, begin)) return false;
-  const char* start = line.c_str() + begin;
-  char* end = nullptr;
-  out = std::strtod(start, &end);
-  return end != start;
-}
-
-bool find_u64_array(const std::string& line, const std::string& key,
-                    std::vector<std::uint64_t>& out) {
-  std::size_t begin = 0;
-  if (!find_raw(line, key, begin)) return false;
-  if (begin >= line.size() || line[begin] != '[') return false;
-  out.clear();
-  std::uint64_t value = 0;
-  bool in_number = false;
-  for (++begin; begin < line.size(); ++begin) {
-    const char ch = line[begin];
-    if (ch >= '0' && ch <= '9') {
-      value = value * 10 + static_cast<std::uint64_t>(ch - '0');
-      in_number = true;
-    } else {
-      if (in_number) out.push_back(value);
-      value = 0;
-      in_number = false;
-      if (ch == ']') return true;
-      if (ch != ',') return false;
-    }
-  }
-  return false;
-}
-
-void write_escaped(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default: os << c;
-    }
-  }
-  os << '"';
-}
+using util::json::find_double;
+using util::json::find_string;
+using util::json::find_u64;
+using util::json::find_u64_array;
+using util::json::write_escaped;
 
 void write_double(std::ostream& os, double v) {
   char buf[40];
@@ -236,13 +146,11 @@ ReproFile load_repro(std::istream& is) {
                     algorithm_from_string(alg, out.c.alg));
       COLEX_EXPECTS(find_u64_array(line, "ids", out.c.ids) &&
                     !out.c.ids.empty());
-      std::size_t begin = 0;
-      if (find_raw(line, "port_flips", begin) && begin < line.size() &&
-          line[begin] == '[') {
-        for (++begin; begin < line.size() && line[begin] != ']'; ++begin) {
-          if (line[begin] == '0') out.c.port_flips.push_back(false);
-          if (line[begin] == '1') out.c.port_flips.push_back(true);
-        }
+      std::vector<std::uint64_t> flips;
+      find_u64_array(line, "port_flips", flips);
+      for (const std::uint64_t f : flips) {
+        COLEX_EXPECTS(f <= 1);
+        out.c.port_flips.push_back(f == 1);
       }
       find_u64(line, "schedule_seed", out.c.schedule_seed);
       find_u64(line, "max_events", out.c.max_events);

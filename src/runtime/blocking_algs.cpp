@@ -1,27 +1,20 @@
 #include "runtime/blocking_algs.hpp"
 
+#include <algorithm>
 #include <thread>
 
 #include "util/contracts.hpp"
 
 namespace colex::rt {
 
-// The synchronous entry points instantiate the template coroutines over
-// BlockingPortAdapter, whose wait_any() blocks inside await_ready() and
-// never suspends: one resume runs the algorithm to completion on the
-// calling thread, byte-for-byte the pre-coroutine blocking behavior.
-
-BlockingOutcome run_alg1_blocking(NodeIo io, std::uint64_t id) {
-  return drive_blocking(run_alg1(BlockingPortAdapter(io), id));
-}
-
-BlockingOutcome run_alg2_blocking(NodeIo io, std::uint64_t id) {
-  return drive_blocking(run_alg2(BlockingPortAdapter(io), id));
-}
-
-BlockingOutcome run_alg3_blocking(NodeIo io, std::uint64_t id,
-                                  co::IdScheme scheme) {
-  return drive_blocking(run_alg3(BlockingPortAdapter(io), id, scheme));
+void publish_pulse_bound(obs::Registry& metrics, const std::string& prefix,
+                         ThreadAlg alg, const std::vector<std::uint64_t>& ids,
+                         std::uint64_t node_sends) {
+  const std::uint64_t id_max = *std::max_element(ids.begin(), ids.end());
+  const std::uint64_t bound = pulse_bound(alg, ids.size(), id_max);
+  metrics.gauge(prefix + ".pulse_bound").set(static_cast<double>(bound));
+  metrics.gauge(prefix + ".pulse_margin")
+      .set(static_cast<double>(bound) - static_cast<double>(node_sends));
 }
 
 ThreadRunResult run_on_threads(const std::vector<std::uint64_t>& ids,
@@ -82,21 +75,9 @@ ThreadRunResult run_on_threads(const std::vector<std::uint64_t>& ids,
   tally_leaders(result);
   if (metrics != nullptr) {
     publish_phase_pulses(*metrics, "rt.pulses", result.outcomes);
-    // Theorem 1 margin as gauges: bound by algorithm family (Corollary 13
-    // for Alg 1, Theorem 1 for Alg 2, Prop. 15 / Thm. 2 for Alg 3), with
-    // injected pulses excluded — the bound speaks about node sends.
-    const std::uint64_t id_max = *std::max_element(ids.begin(), ids.end());
-    std::uint64_t bound = 0;
-    switch (alg) {
-      case ThreadAlg::alg1: bound = n * id_max; break;
-      case ThreadAlg::alg2: bound = n * (2 * id_max + 1); break;
-      case ThreadAlg::alg3_doubled: bound = n * (4 * id_max - 1); break;
-      case ThreadAlg::alg3_improved: bound = n * (2 * id_max + 1); break;
-    }
-    metrics->gauge("rt.pulse_bound").set(static_cast<double>(bound));
-    metrics->gauge("rt.pulse_margin")
-        .set(static_cast<double>(bound) -
-             static_cast<double>(result.pulses - ring.injected()));
+    // Injected pulses are excluded: the bound speaks about node sends.
+    publish_pulse_bound(*metrics, "rt", alg, ids,
+                        result.pulses - ring.injected());
   }
   return result;
 }

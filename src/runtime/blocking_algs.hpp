@@ -4,8 +4,7 @@
 //
 //  * ThreadRing (one OS thread per node): BlockingPortAdapter's wait_any()
 //    blocks inside await_ready() and never suspends, so resuming the
-//    coroutine once runs the algorithm to completion — exactly the old
-//    blocking functions, which remain available as run_alg*_blocking().
+//    coroutine once (drive_blocking) runs the algorithm to completion.
 //  * The coroutine runtime (src/coro): CoroIo's wait_any() parks the node
 //    coroutine until a pulse arrives, so millions of nodes share a few
 //    worker threads.
@@ -19,10 +18,13 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "co/alg3.hpp"
+#include "co/bounds.hpp"
 #include "co/oriented.hpp"
 #include "co/roles.hpp"
 #include "runtime/port.hpp"
@@ -222,8 +224,53 @@ ElectionTask run_alg3(Io io, std::uint64_t id, co::IdScheme scheme) {
   }
 }
 
-/// Which algorithm a run executes (shared by ThreadRing and src/coro).
+/// Which algorithm a run executes (shared by ThreadRing, src/coro and
+/// src/net).
 enum class ThreadAlg { alg1, alg2, alg3_doubled, alg3_improved };
+
+inline constexpr ThreadAlg kThreadAlgs[] = {
+    ThreadAlg::alg1, ThreadAlg::alg2, ThreadAlg::alg3_doubled,
+    ThreadAlg::alg3_improved};
+
+/// The algorithm's name on command lines and in reports.
+constexpr const char* to_string(ThreadAlg alg) {
+  switch (alg) {
+    case ThreadAlg::alg1: return "alg1";
+    case ThreadAlg::alg2: return "alg2";
+    case ThreadAlg::alg3_doubled: return "alg3-doubled";
+    case ThreadAlg::alg3_improved: return "alg3-improved";
+  }
+  return "?";
+}
+
+/// Inverse of to_string; nullopt for an unknown name.
+inline std::optional<ThreadAlg> from_string(std::string_view name) {
+  for (const ThreadAlg alg : kThreadAlgs) {
+    if (name == to_string(alg)) return alg;
+  }
+  return std::nullopt;
+}
+
+/// The exact pulse count of a clean run of `alg` on n nodes: Corollary 13
+/// for Alg 1, Theorem 1 for Alg 2, Prop. 15 / Thm. 2 for Alg 3 with the
+/// doubled / improved scheme. 0 when no bound applies (IDmax == 0).
+constexpr std::uint64_t pulse_bound(ThreadAlg alg, std::uint64_t n,
+                                    std::uint64_t id_max) {
+  if (id_max == 0) return 0;
+  switch (alg) {
+    case ThreadAlg::alg1: return co::cor13_pulses(n, id_max);
+    case ThreadAlg::alg2: return co::theorem1_pulses(n, id_max);
+    case ThreadAlg::alg3_doubled: return co::prop15_pulses(n, id_max);
+    case ThreadAlg::alg3_improved: return co::theorem1_pulses(n, id_max);
+  }
+  return 0;
+}
+
+/// Publishes `<prefix>.pulse_bound` (pulse_bound() for these ids) and
+/// `<prefix>.pulse_margin` (the bound minus `node_sends`) as gauges.
+void publish_pulse_bound(obs::Registry& metrics, const std::string& prefix,
+                         ThreadAlg alg, const std::vector<std::uint64_t>& ids,
+                         std::uint64_t node_sends);
 
 /// Instantiates the template transcription for `alg` over any PulsePort.
 template <PulsePort Io>
@@ -240,17 +287,6 @@ ElectionTask spawn_alg(ThreadAlg alg, Io io, std::uint64_t id) {
   }
   util::contract_fail("precondition", "valid ThreadAlg", __FILE__, __LINE__);
 }
-
-/// Algorithm 1 driven synchronously on a ThreadRing node (legacy shape:
-/// identical behavior to the pre-coroutine blocking transcription).
-BlockingOutcome run_alg1_blocking(NodeIo io, std::uint64_t id);
-
-/// Algorithm 2 driven synchronously on a ThreadRing node.
-BlockingOutcome run_alg2_blocking(NodeIo io, std::uint64_t id);
-
-/// Algorithm 3 driven synchronously on a ThreadRing node.
-BlockingOutcome run_alg3_blocking(NodeIo io, std::uint64_t id,
-                                  co::IdScheme scheme);
 
 /// ThreadRing's run result: the substrate-agnostic TransportRunResult shape
 /// (outcomes, pulses, completion, leader tally, stall post-mortem from

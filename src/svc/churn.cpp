@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "co/bounds.hpp"
 #include "util/contracts.hpp"
 #include "util/rng.hpp"
 
@@ -73,7 +74,7 @@ std::uint64_t RingSpec::id_max() const {
 
 std::uint64_t RingSpec::pulse_bound() const {
   const std::uint64_t m = id_max();
-  return m == 0 ? 0 : ids.size() * (2 * m + 1);
+  return m == 0 ? 0 : co::theorem1_pulses(ids.size(), m);
 }
 
 ChurnEngine::ChurnEngine(std::uint64_t soak_seed, std::size_t slot,

@@ -52,27 +52,23 @@ co::Role role_of(const sim::PulseNetwork& net, SoakAlg alg, sim::NodeId v) {
              : net.automaton_as<co::Alg2Terminating>(v).role();
 }
 
-/// Clean-attempt path on the coroutine executor. Outcomes here are
-/// schedule-independent — the conserved pulse counters give the exact
-/// Theorem 1 / Corollary 13 count and a unique max-ID leader — so the only
-/// non-deterministic ending is a wall-clock watchdog timeout, which
-/// classifies as `stalled` without the clean-attempt escalation (a loaded
-/// machine is not an algorithm bug; the retry ladder absorbs it).
-AttemptResult run_attempt_coro(const RingSpec& spec) {
-  const std::uint64_t id_max = spec.id_max();
-  const rt::ThreadAlg alg =
-      spec.alg == SoakAlg::alg1 ? rt::ThreadAlg::alg1 : rt::ThreadAlg::alg2;
-
-  // One worker per election: a soak shard is already one thread of a fixed
-  // pool, so fanning each tiny ring across more workers would only
-  // oversubscribe the machine.
-  coro::CoroRunOptions copts;
-  copts.workers = 1;
-  copts.timeout_ms = 10'000;
-  const coro::CoroRunResult r = coro::run_on_coro(spec.ids, {}, alg, copts);
-
+/// Classifies a clean attempt run on a runtime backend: the coroutine
+/// executor, or the real-socket backend (one thread per node over loopback
+/// TCP, quiescence proven by the coordinator's four-counter probe
+/// protocol). Outcomes here are schedule-independent — the conserved pulse
+/// counters give the exact Theorem 1 / Corollary 13 count and a unique
+/// max-ID leader — so the only non-deterministic ending is a wall-clock
+/// watchdog timeout, which classifies as `stalled` without the
+/// clean-attempt escalation (a loaded machine is not an algorithm bug; the
+/// retry ladder absorbs it). `deliveries` is the backend's consumed count.
+AttemptResult classify_runtime_attempt(const RingSpec& spec,
+                                       SoakBackend backend,
+                                       const rt::TransportRunResult& r,
+                                       std::uint64_t deliveries) {
+  const std::string label = to_string(backend);
   AttemptResult a;
-  a.on_coro = true;
+  a.on_coro = backend == SoakBackend::coro;
+  a.on_socket = backend == SoakBackend::socket;
   for (const rt::BlockingOutcome& out : r.outcomes) {
     for (std::size_t i = 0; i < obs::kPhaseCount; ++i) {
       a.phase_pulses[i] += out.phase_sends[i];
@@ -82,14 +78,15 @@ AttemptResult run_attempt_coro(const RingSpec& spec) {
   a.pulse_bound = spec.pulse_bound();
   a.within_bound = a.pulses <= a.pulse_bound;
   a.unique_leader = r.leader_count == 1;
-  a.leader_is_max = r.leader.has_value() && spec.ids[*r.leader] == id_max;
+  a.leader_is_max =
+      r.leader.has_value() && spec.ids[*r.leader] == spec.id_max();
   a.report.sent = r.pulses;
-  a.report.deliveries = r.pulses;  // SPSC fabric: every pulse consumed once
+  a.report.deliveries = deliveries;
   a.report.quiescent = r.completed;
 
   if (!r.completed) {
     a.outcome = sim::FaultOutcome::stalled;
-    a.diagnosis = "coro attempt hit the stall watchdog: " + r.stall_dump;
+    a.diagnosis = label + " attempt hit the stall watchdog: " + r.stall_dump;
     return a;
   }
   bool decided = a.unique_leader && a.leader_is_max;
@@ -102,69 +99,13 @@ AttemptResult run_attempt_coro(const RingSpec& spec) {
   a.report.all_terminated = decided && spec.alg == SoakAlg::alg2;
   if (!decided) {
     a.outcome = sim::FaultOutcome::safety_violated;
-    a.diagnosis = "clean coro attempt settled without a valid election: " +
+    a.diagnosis = "clean " + label +
+                  " attempt settled without a valid election: " +
                   std::to_string(r.leader_count) + " leaders";
   } else if (!a.within_bound) {
     a.outcome = sim::FaultOutcome::safety_violated;
-    a.diagnosis = "clean coro run exceeded the Theorem 1 pulse bound: " +
-                  std::to_string(a.pulses) + " > " +
-                  std::to_string(a.pulse_bound);
-  } else {
-    a.outcome = sim::FaultOutcome::recovered_correct;
-  }
-  return a;
-}
-
-/// Clean-attempt path on the real-socket backend: the same ring runs as
-/// one thread per node over loopback TCP, with quiescence proven by the
-/// coordinator's four-counter probe protocol instead of an in-process
-/// fabric. Same stall semantics as the coro path — a watchdog expiry is
-/// `stalled` without escalation.
-AttemptResult run_attempt_socket(const RingSpec& spec) {
-  const std::uint64_t id_max = spec.id_max();
-  const rt::ThreadAlg alg =
-      spec.alg == SoakAlg::alg1 ? rt::ThreadAlg::alg1 : rt::ThreadAlg::alg2;
-
-  net::SocketRunOptions sopts;
-  sopts.timeout_ms = 10'000;
-  const net::SocketRunResult r = net::run_on_sockets(spec.ids, {}, alg, sopts);
-
-  AttemptResult a;
-  a.on_socket = true;
-  for (const rt::BlockingOutcome& out : r.outcomes) {
-    for (std::size_t i = 0; i < obs::kPhaseCount; ++i) {
-      a.phase_pulses[i] += out.phase_sends[i];
-    }
-  }
-  a.pulses = r.pulses;
-  a.pulse_bound = spec.pulse_bound();
-  a.within_bound = a.pulses <= a.pulse_bound;
-  a.unique_leader = r.leader_count == 1;
-  a.leader_is_max = r.leader.has_value() && spec.ids[*r.leader] == id_max;
-  a.report.sent = r.pulses;
-  a.report.deliveries = r.consumed;  // wire conservation: sent == consumed
-  a.report.quiescent = r.completed;
-
-  if (!r.completed) {
-    a.outcome = sim::FaultOutcome::stalled;
-    a.diagnosis = "socket attempt hit the stall watchdog: " + r.stall_dump;
-    return a;
-  }
-  bool decided = a.unique_leader && a.leader_is_max;
-  for (const rt::BlockingOutcome& out : r.outcomes) {
-    if (out.role == co::Role::undecided) decided = false;
-    if (spec.alg == SoakAlg::alg2 && !out.terminated && !out.stopped) {
-      decided = false;
-    }
-  }
-  a.report.all_terminated = decided && spec.alg == SoakAlg::alg2;
-  if (!decided) {
-    a.outcome = sim::FaultOutcome::safety_violated;
-    a.diagnosis = "clean socket attempt settled without a valid election: " +
-                  std::to_string(r.leader_count) + " leaders";
-  } else if (!a.within_bound) {
-    a.outcome = sim::FaultOutcome::safety_violated;
-    a.diagnosis = "clean socket run exceeded the Theorem 1 pulse bound: " +
+    a.diagnosis = "clean " + label +
+                  " run exceeded the Theorem 1 pulse bound: " +
                   std::to_string(a.pulses) + " > " +
                   std::to_string(a.pulse_bound);
   } else {
@@ -178,11 +119,27 @@ AttemptResult run_attempt_socket(const RingSpec& spec) {
 AttemptResult run_attempt(const RingSpec& spec, SoakBackend backend) {
   COLEX_EXPECTS(!spec.ids.empty());
   COLEX_EXPECTS(spec.max_events > 0);
+  const rt::ThreadAlg runtime_alg =
+      spec.alg == SoakAlg::alg1 ? rt::ThreadAlg::alg1 : rt::ThreadAlg::alg2;
   if (backend == SoakBackend::coro && spec.faults.trivial()) {
-    return run_attempt_coro(spec);
+    // One worker per election: a soak shard is already one thread of a
+    // fixed pool, so fanning each tiny ring across more workers would only
+    // oversubscribe the machine.
+    coro::CoroRunOptions copts;
+    copts.workers = 1;
+    copts.timeout_ms = 10'000;
+    const coro::CoroRunResult r =
+        coro::run_on_coro(spec.ids, {}, runtime_alg, copts);
+    // SPSC fabric: every pulse consumed once.
+    return classify_runtime_attempt(spec, backend, r, r.pulses);
   }
   if (backend == SoakBackend::socket && spec.faults.trivial()) {
-    return run_attempt_socket(spec);
+    net::SocketRunOptions sopts;
+    sopts.timeout_ms = 10'000;
+    const net::SocketRunResult r =
+        net::run_on_sockets(spec.ids, {}, runtime_alg, sopts);
+    // Wire conservation: sent == consumed.
+    return classify_runtime_attempt(spec, backend, r, r.consumed);
   }
   const std::size_t n = spec.ids.size();
   const std::uint64_t id_max = spec.id_max();

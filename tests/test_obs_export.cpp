@@ -106,6 +106,34 @@ TEST(JsonlLoad, SkipsUnknownLineTypes) {
   EXPECT_TRUE(loaded.events.empty());
 }
 
+TEST(JsonlLoad, RejectsOutOfRangeNumbers) {
+  // 2^64+1 must not wrap to port 1 (or to node 1, or to IDmax 1).
+  const std::string meta =
+      "{\"type\":\"meta\",\"format\":\"colex-trace-v1\",\"n\":2,"
+      "\"id_max\":3,\"port_flips\":[]}\n";
+  std::istringstream port(meta +
+                          "{\"type\":\"event\",\"index\":0,\"kind\":"
+                          "\"deliver\",\"node\":0,"
+                          "\"port\":18446744073709551617,\"dir\":\"cw\"}\n");
+  EXPECT_THROW(load_jsonl(port), util::ContractViolation);
+  std::istringstream node(meta +
+                          "{\"type\":\"event\",\"index\":0,\"kind\":"
+                          "\"send\",\"node\":18446744073709551617,"
+                          "\"port\":1,\"dir\":\"cw\"}\n");
+  EXPECT_THROW(load_jsonl(node), util::ContractViolation);
+  std::istringstream id_max(
+      "{\"type\":\"meta\",\"format\":\"colex-trace-v1\",\"n\":2,"
+      "\"id_max\":18446744073709551617,\"port_flips\":[]}\n");
+  EXPECT_THROW(load_jsonl(id_max), util::ContractViolation);
+}
+
+TEST(JsonlLoad, CommittedOverflowTraceIsRejected) {
+  EXPECT_THROW(
+      load_jsonl_file(std::string(COLEX_TEST_DATA_DIR) +
+                      "/overflow_port_trace.jsonl"),
+      util::ContractViolation);
+}
+
 // Chrome-trace shape on a hand-built 2-ring stream covering every kind.
 // Oriented wiring: node0 sends cw out of p1 into node1's p0, and vice versa.
 TEST(ChromeTrace, EveryKindRendersOnTheRightTrack) {

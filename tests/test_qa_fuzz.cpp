@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "obs/export.hpp"
 #include "qa/fuzzer.hpp"
@@ -181,6 +182,42 @@ TEST(FuzzRepro, LoadRejectsGarbage) {
       "{\"type\":\"repro\",\"format\":\"colex-repro-v1\",\"seed\":1,"
       "\"algorithm\":\"alg2\",\"ids\":[]}\n");
   EXPECT_THROW(load_repro(no_ids), util::ContractViolation);
+}
+
+TEST(FuzzRepro, LoadRejectsOutOfRangeNumbers) {
+  // 2^64+2 must not wrap to ID 2: the ring would elect with 10 pulses.
+  std::stringstream big_id(
+      "{\"type\":\"repro\",\"format\":\"colex-repro-v1\",\"seed\":1,"
+      "\"algorithm\":\"alg2\",\"ids\":[18446744073709551618,1]}\n");
+  EXPECT_THROW(load_repro(big_id), util::ContractViolation);
+  std::stringstream big_seed(
+      "{\"type\":\"repro\",\"format\":\"colex-repro-v1\","
+      "\"seed\":18446744073709551616,\"algorithm\":\"alg2\","
+      "\"ids\":[2,1]}\n");
+  EXPECT_THROW(load_repro(big_seed), util::ContractViolation);
+  std::stringstream max_ok(
+      "{\"type\":\"repro\",\"format\":\"colex-repro-v1\","
+      "\"seed\":18446744073709551615,\"algorithm\":\"alg2\","
+      "\"ids\":[2,1]}\n");
+  EXPECT_EQ(load_repro(max_ok).c.seed, UINT64_MAX);
+}
+
+TEST(FuzzOracle, EveryAlgorithmHasATranscriptionAndExactCount) {
+  for (const Algorithm a :
+       {Algorithm::alg1, Algorithm::alg2, Algorithm::alg3_doubled,
+        Algorithm::alg3_improved, Algorithm::alg4}) {
+    FuzzCase c;
+    c.alg = a;
+    c.ids = {3, 7, 5};
+    const rt::ThreadAlg t = thread_alg(a);
+    EXPECT_EQ(rt::to_string(t),
+              std::string(a == Algorithm::alg4 ? "alg3-improved"
+                                               : to_string(a)));
+    // Corollary 13 for Algorithm 1; every other algorithm meets its
+    // FuzzCase::pulse_bound() with equality.
+    EXPECT_EQ(exact_pulses(c), a == Algorithm::alg1 ? 3u * 7u
+                                                    : c.pulse_bound());
+  }
 }
 
 TEST(FuzzRepro, ExportedTraceLoadsInObs) {

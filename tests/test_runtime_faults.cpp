@@ -100,7 +100,8 @@ TEST(ThreadRingFaults, InjectedPulseTripsStallWatchdogWithDump) {
   std::vector<std::thread> workers;
   for (sim::NodeId v = 0; v < n; ++v) {
     workers.emplace_back([&, v] {
-      outs[v] = run_alg1_blocking(ring.io(v), kIds[v]);
+      outs[v] = drive_blocking(spawn_alg(
+          ThreadAlg::alg1, BlockingPortAdapter(ring.io(v)), kIds[v]));
       ring.worker_finished();
     });
   }
@@ -219,7 +220,8 @@ TEST(ThreadRingFaults, RecoveredWorkerRerunsFromErasedState) {
       for (;;) {
         const std::uint64_t epoch = ring.crash_epoch(v);
         NodeIo io = ring.io(v);
-        outs[v] = run_alg1_blocking(io, kIds[v]);
+        outs[v] = drive_blocking(
+            spawn_alg(ThreadAlg::alg1, BlockingPortAdapter(io), kIds[v]));
         if (ring.crash_epoch(v) == epoch) break;
         if (!ring.await_recovery(v)) {
           outs[v] = BlockingOutcome{};

@@ -57,15 +57,6 @@ qa::FuzzCase battery_case(const BatteryCase& bc) {
   return c;
 }
 
-rt::ThreadAlg thread_alg(qa::Algorithm a) {
-  switch (a) {
-    case qa::Algorithm::alg1: return rt::ThreadAlg::alg1;
-    case qa::Algorithm::alg2: return rt::ThreadAlg::alg2;
-    case qa::Algorithm::alg3_doubled: return rt::ThreadAlg::alg3_doubled;
-    default: return rt::ThreadAlg::alg3_improved;
-  }
-}
-
 /// Asserts one transcription backend agrees with the simulator's run of
 /// the same case: completion, leader set, per-node roles, and the exact
 /// paper-predicted pulse count.
@@ -91,7 +82,7 @@ TEST_P(TransportConformance, AllSubstratesMatchSimulatorExactly) {
   ASSERT_TRUE(oracle.report.quiescent);
   ASSERT_EQ(oracle.counters.sent, qa::exact_pulses(c))
       << "simulator itself missed the paper's exact count";
-  const rt::ThreadAlg alg = thread_alg(c.alg);
+  const rt::ThreadAlg alg = qa::thread_alg(c.alg);
 
   expect_matches_sim("threads", c, oracle,
                      rt::run_on_threads(c.ids, c.port_flips, alg));

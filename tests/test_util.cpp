@@ -4,8 +4,11 @@
 #include <limits>
 #include <set>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "util/contracts.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -257,6 +260,48 @@ TEST(Contracts, ExpectsThrowsWithLocation) {
   } catch (const ContractViolation& e) {
     EXPECT_NE(std::string(e.what()).find("precondition"), std::string::npos);
   }
+}
+
+TEST(ParseU64, AcceptsExactlyTheU64Range) {
+  std::uint64_t v = 7;
+  EXPECT_TRUE(parse_u64("0", v));
+  EXPECT_EQ(v, 0u);
+  EXPECT_TRUE(parse_u64("18446744073709551615", v));
+  EXPECT_EQ(v, std::numeric_limits<std::uint64_t>::max());
+  EXPECT_TRUE(parse_u64("0018446744073709551615", v));  // leading zeros
+  EXPECT_EQ(v, std::numeric_limits<std::uint64_t>::max());
+  v = 7;
+  for (const char* bad : {"18446744073709551616", "18446744073709551618",
+                          "99999999999999999999", "", "-1", "+1", " 1",
+                          "1 ", "1x", "0x10"}) {
+    EXPECT_FALSE(parse_u64(bad, v)) << bad;
+    EXPECT_EQ(v, 7u) << bad;  // untouched on failure
+  }
+}
+
+TEST(JsonReader, KeyedReadersRejectWhatTheyCannotRepresent) {
+  std::uint64_t v = 0;
+  std::vector<std::uint64_t> xs;
+  EXPECT_TRUE(json::find_u64("{\"a\":18446744073709551615}", "a", v));
+  EXPECT_EQ(v, std::numeric_limits<std::uint64_t>::max());
+  EXPECT_FALSE(json::find_u64("{\"b\":1}", "a", v));  // absent
+  EXPECT_THROW(json::find_u64("{\"a\":18446744073709551616}", "a", v),
+               ContractViolation);
+  EXPECT_THROW(json::find_u64("{\"a\":-1}", "a", v), ContractViolation);
+  EXPECT_TRUE(json::find_u64_array("{\"a\":[3,18446744073709551615]}", "a",
+                                   xs));
+  EXPECT_EQ(xs, (std::vector<std::uint64_t>{
+                    3, std::numeric_limits<std::uint64_t>::max()}));
+  EXPECT_TRUE(json::find_u64_array("{\"a\":[]}", "a", xs));
+  EXPECT_TRUE(xs.empty());
+  EXPECT_THROW(
+      json::find_u64_array("{\"a\":[1,18446744073709551617]}", "a", xs),
+      ContractViolation);
+  EXPECT_THROW(json::find_u64_array("{\"a\":[1,]}", "a", xs),
+               ContractViolation);
+  std::string str;
+  EXPECT_THROW(json::find_string("{\"a\":\"open}", "a", str),
+               ContractViolation);
 }
 
 }  // namespace

@@ -37,10 +37,12 @@
 #include "obs/export.hpp"
 #include "qa/fuzzer.hpp"
 #include "qa/repro.hpp"
+#include "util/json.hpp"
 
 namespace {
 
 using namespace colex;
+using util::parse_u64;
 
 int usage() {
   std::cerr << "usage:\n"
@@ -51,16 +53,6 @@ int usage() {
                "             [--repro-out FILE] [--trace-out FILE] [--json]\n"
                "  colex-fuzz replay <repro.jsonl> [--trace-out FILE]\n";
   return 2;
-}
-
-bool parse_u64(const std::string& s, std::uint64_t& out) {
-  if (s.empty()) return false;
-  out = 0;
-  for (const char ch : s) {
-    if (ch < '0' || ch > '9') return false;
-    out = out * 10 + static_cast<std::uint64_t>(ch - '0');
-  }
-  return true;
 }
 
 bool parse_algs(const std::string& s, std::vector<qa::Algorithm>& out) {

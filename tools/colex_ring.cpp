@@ -34,10 +34,12 @@
 #include "net/node.hpp"
 #include "net/run.hpp"
 #include "runtime/blocking_algs.hpp"
+#include "util/json.hpp"
 
 namespace {
 
 using namespace colex;
+using util::parse_u64;
 
 int usage() {
   std::cerr
@@ -53,39 +55,11 @@ int usage() {
   return 2;
 }
 
-bool parse_u64(const std::string& s, std::uint64_t& out) {
-  if (s.empty()) return false;
-  out = 0;
-  for (const char ch : s) {
-    if (ch < '0' || ch > '9') return false;
-    out = out * 10 + static_cast<std::uint64_t>(ch - '0');
-  }
-  return true;
-}
-
 bool parse_port(const std::string& s, std::uint16_t& out) {
   std::uint64_t v = 0;
   if (!parse_u64(s, v) || v > 0xffff) return false;
   out = static_cast<std::uint16_t>(v);
   return true;
-}
-
-bool parse_alg(const std::string& s, rt::ThreadAlg& out) {
-  if (s == "alg1") out = rt::ThreadAlg::alg1;
-  else if (s == "alg2") out = rt::ThreadAlg::alg2;
-  else if (s == "alg3-doubled") out = rt::ThreadAlg::alg3_doubled;
-  else if (s == "alg3-improved") out = rt::ThreadAlg::alg3_improved;
-  else return false;
-  return true;
-}
-
-const char* alg_name(rt::ThreadAlg a) {
-  switch (a) {
-    case rt::ThreadAlg::alg1: return "alg1";
-    case rt::ThreadAlg::alg2: return "alg2";
-    case rt::ThreadAlg::alg3_doubled: return "alg3-doubled";
-    default: return "alg3-improved";
-  }
 }
 
 /// Comma-separated u64 list ("6,11,3"); empty string = empty list.
@@ -112,7 +86,7 @@ bool parse_list(const std::string& s, std::vector<std::uint64_t>& out) {
 void print_json_run(const net::MultiProcResult& r, std::size_t n,
                     rt::ThreadAlg alg) {
   std::cout << "{\"completed\":" << (r.completed ? "true" : "false")
-            << ",\"n\":" << n << ",\"alg\":\"" << alg_name(alg) << "\""
+            << ",\"n\":" << n << ",\"alg\":\"" << rt::to_string(alg) << "\""
             << ",\"pulses\":" << r.pulses << ",\"consumed\":" << r.consumed
             << ",\"probe_rounds\":" << r.probe_rounds
             << ",\"leader_count\":" << r.leader_count << ",\"leader\":";
@@ -145,7 +119,9 @@ int cmd_run(const std::vector<std::string>& args) {
     } else if (a == "--flips" && has_next) {
       if (!parse_list(args[++i], flip_bits)) return usage();
     } else if (a == "--alg" && has_next) {
-      if (!parse_alg(args[++i], alg)) return usage();
+      const auto parsed = rt::from_string(args[++i]);
+      if (!parsed) return usage();
+      alg = *parsed;
     } else if (a == "--base-port" && has_next) {
       if (!parse_port(args[++i], opt.base_port)) return usage();
     } else if (a == "--timeout-ms" && has_next) {
@@ -168,9 +144,9 @@ int cmd_run(const std::vector<std::string>& args) {
   if (json) {
     print_json_run(r, ids.size(), alg);
   } else if (r.completed) {
-    std::cout << "ring of " << ids.size() << " processes, " << alg_name(alg)
-              << ": leader node " << (r.leader ? std::to_string(*r.leader)
-                                              : std::string("<none>"))
+    std::cout << "ring of " << ids.size() << " processes, "
+              << rt::to_string(alg) << ": leader node "
+              << (r.leader ? std::to_string(*r.leader) : std::string("<none>"))
               << ", " << r.pulses << " pulses sent, " << r.consumed
               << " consumed, quiescence proven in " << r.probe_rounds
               << " probe rounds\n";
@@ -260,7 +236,9 @@ int cmd_node(const std::vector<std::string>& args) {
       if (!parse_u64(args[++i], cfg.id)) return usage();
       have_id = true;
     } else if (a == "--alg" && has_next) {
-      if (!parse_alg(args[++i], cfg.alg)) return usage();
+      const auto parsed = rt::from_string(args[++i]);
+      if (!parsed) return usage();
+      cfg.alg = *parsed;
     } else if (a == "--coordinator-port" && has_next) {
       if (!parse_port(args[++i], cfg.coordinator_port)) return usage();
     } else if (a == "--data-port" && has_next) {

@@ -39,10 +39,12 @@
 #include <vector>
 
 #include "svc/soak.hpp"
+#include "util/json.hpp"
 
 namespace {
 
 using namespace colex;
+using util::parse_u64;
 
 int usage() {
   std::cerr << "usage:\n"
@@ -54,16 +56,6 @@ int usage() {
                "             [--snapshot FILE] [--snapshot-every S]\n"
                "             [--serve PORT] [--json]\n";
   return 2;
-}
-
-bool parse_u64(const std::string& s, std::uint64_t& out) {
-  if (s.empty()) return false;
-  out = 0;
-  for (const char ch : s) {
-    if (ch < '0' || ch > '9') return false;
-    out = out * 10 + static_cast<std::uint64_t>(ch - '0');
-  }
-  return true;
 }
 
 bool parse_f64(const std::string& s, double& out) {

@@ -29,24 +29,17 @@
 #include <vector>
 
 #include "obs/serve.hpp"
+#include "util/json.hpp"
 
 namespace {
+
+using colex::util::parse_u64;
 
 int usage() {
   std::cerr << "usage:\n"
                "  colex-top --port P [--host H] [--once] [--raw]\n"
                "            [--interval S] [--path /metrics]\n";
   return 2;
-}
-
-bool parse_u64(const std::string& s, std::uint64_t& out) {
-  if (s.empty()) return false;
-  out = 0;
-  for (const char ch : s) {
-    if (ch < '0' || ch > '9') return false;
-    out = out * 10 + static_cast<std::uint64_t>(ch - '0');
-  }
-  return true;
 }
 
 /// One parsed sample line of the exposition: `name{labels} value`.

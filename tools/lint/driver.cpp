@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "lint/classes.hpp"
+#include "util/json.hpp"
 
 namespace colex::lint {
 
@@ -96,37 +97,16 @@ SplitFindings apply_suppressions(const std::vector<SourceFile>& files,
   return split;
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          constexpr const char* kHex = "0123456789abcdef";
-          out += "\\u00";
-          out += kHex[(c >> 4) & 0xF];
-          out += kHex[c & 0xF];
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 void json_findings(std::ostream& os, const std::vector<Finding>& findings) {
   os << "[";
   for (std::size_t i = 0; i < findings.size(); ++i) {
     const Finding& f = findings[i];
     os << (i == 0 ? "" : ",") << "\n    {\"rule\":\"" << f.rule
-       << "\",\"pass\":\"" << f.pass << "\",\"file\":\"" << json_escape(f.file)
-       << "\",\"line\":" << f.line << ",\"message\":\""
-       << json_escape(f.message) << "\"}";
+       << "\",\"pass\":\"" << f.pass << "\",\"file\":";
+    util::json::write_escaped(os, f.file);
+    os << ",\"line\":" << f.line << ",\"message\":";
+    util::json::write_escaped(os, f.message);
+    os << "}";
   }
   os << (findings.empty() ? "]" : "\n  ]");
 }
@@ -248,8 +228,8 @@ void print_json(std::ostream& os, const ScanOutcome& outcome) {
   json_findings(os, outcome.suppressed);
   os << ",\n  \"errors\": [";
   for (std::size_t i = 0; i < outcome.errors.size(); ++i) {
-    os << (i == 0 ? "" : ", ") << "\"" << json_escape(outcome.errors[i])
-       << "\"";
+    os << (i == 0 ? "" : ", ");
+    util::json::write_escaped(os, outcome.errors[i]);
   }
   os << "]\n}\n";
 }
