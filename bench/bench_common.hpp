@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -22,6 +21,7 @@
 #include <utility>
 #include <vector>
 
+#include "util/cli.hpp"
 #include "util/json.hpp"
 
 namespace colex::bench {
@@ -213,10 +213,18 @@ class JsonReport {
 
   Json& root() { return root_; }
 
-  /// Directs the artifact into `dir` instead of the current working
-  /// directory. An explicit directory (the `--json <dir>` flag) wins over
-  /// the COLEX_BENCH_JSON_DIR environment variable, which wins over cwd.
-  void set_output_dir(std::string dir) { output_dir_ = std::move(dir); }
+  /// Parses the bench's argv: --smoke, --json DIR and the bench's own
+  /// `extra` flags. `--json DIR` directs the artifact into DIR, which wins
+  /// over the COLEX_BENCH_JSON_DIR environment variable, which wins over
+  /// cwd. False (after printing the usage) on a malformed invocation; main
+  /// then exits 2 before doing any work.
+  bool parse_args(int argc, char** argv, bool& smoke,
+                  std::vector<util::cli::Flag> extra = {}) {
+    extra.push_back(util::cli::flag("--smoke", smoke, "CI-sized run"));
+    extra.push_back(util::cli::str("--json", "DIR", output_dir_,
+                                   "write BENCH_<ID>.json into DIR"));
+    return util::cli::parse_argv({{.flags = extra}}, argc, argv) != nullptr;
+  }
 
   /// Embeds a pre-serialized metrics snapshot (an obs::Registry::to_json()
   /// string) under the report's "metrics" key.
@@ -261,17 +269,5 @@ class JsonReport {
   bool has_results_ = false;
   std::vector<Json> results_;
 };
-
-/// Applies the shared bench flags to a report: `--json <dir>` redirects the
-/// BENCH_<ID>.json artifact. Unrecognized arguments are left for the bench's
-/// own parsing (e.g. --smoke).
-inline void apply_json_flag(JsonReport& report, int argc, char** argv) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) {
-      report.set_output_dir(argv[i + 1]);
-      return;
-    }
-  }
-}
 
 }  // namespace colex::bench

@@ -13,7 +13,6 @@
 // The n=4 ring at the end is the configuration the replay engine could not
 // finish in reasonable time; it runs on the parallel snapshot explorer
 // only (sim/parallel.hpp).
-#include <cstring>
 #include <iostream>
 #include <memory>
 
@@ -213,9 +212,10 @@ Row explore_n4_parallel(const std::vector<std::uint64_t>& ids,
 
 int main(int argc, char** argv) {
   bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-  }
+  bench::JsonReport report(
+      "E12",
+      "exhaustive adversary enumeration; snapshot vs replay engine timings");
+  if (!report.parse_args(argc, argv, smoke)) return 2;
   bench::banner(
       "E12  Exhaustive schedule enumeration (bench_e12_exhaustive)",
       "the theorems hold on EVERY asynchronous delivery order, not just "
@@ -223,10 +223,6 @@ int main(int argc, char** argv) {
       "tree for small rings");
 
   bench::WallTimer total;
-  bench::JsonReport report(
-      "E12",
-      "exhaustive adversary enumeration; snapshot vs replay engine timings");
-  bench::apply_json_flag(report, argc, argv);
   // Cross-config registry: per-engine counters accumulate over the sweep,
   // and the parallel run contributes per-worker utilization.
   obs::Registry metrics;

@@ -11,7 +11,6 @@
 // larger rings and fault envelopes E12 cannot enumerate. The two meet at
 // the cross-engine agreement oracle, which fuzz seeds drive directly in
 // test_explore_engines.cpp.
-#include <cstring>
 #include <iostream>
 #include <string>
 
@@ -55,9 +54,8 @@ qa::CampaignReport timed_campaign(const qa::CampaignOptions& options,
 
 int main(int argc, char** argv) {
   bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-  }
+  bench::JsonReport report("E14", "fuzz campaign throughput");
+  if (!report.parse_args(argc, argv, smoke)) return 2;
   const std::size_t cases = smoke ? 60 : 400;
 
   bench::banner(
@@ -66,8 +64,6 @@ int main(int argc, char** argv) {
       "the planted bound defect is found on the first seed and shrinks to "
       "the one-node ring");
 
-  bench::JsonReport report("E14", "fuzz campaign throughput");
-  bench::apply_json_flag(report, argc, argv);
   bench::WallTimer total;
 
   util::Table table({"campaign", "cases", "clean", "faulty", "cx", "cases/s",

@@ -9,11 +9,8 @@
 // Theorem 1 pulse bound — at a sustained elections/sec the harness reports
 // alongside p99 latency.
 //
-// Flags: --smoke (short CI run), --duration S (wall seconds per profile,
-// default 20), --rings N (default 1024), --seed S (default 1),
-// --json <dir> (redirect BENCH_E15.json).
+// --smoke is the short CI run: 1 s per profile on 256 rings.
 #include <cstdint>
-#include <cstring>
 #include <iostream>
 #include <string>
 
@@ -29,19 +26,16 @@ using namespace colex;
 
 int main(int argc, char** argv) {
   bool smoke = false;
+  bench::JsonReport report("E15", "soak harness throughput under churn");
   double duration = 20.0;
   std::size_t rings = 1024;
   std::uint64_t seed = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--duration") == 0 && i + 1 < argc) {
-      duration = std::atof(argv[++i]);
-    } else if (std::strcmp(argv[i], "--rings") == 0 && i + 1 < argc) {
-      rings = static_cast<std::size_t>(std::atoll(argv[++i]));
-    } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
-    }
+  if (!report.parse_args(
+          argc, argv, smoke,
+          {util::cli::f64("--duration", "S", duration, "seconds per churn", 0),
+           util::cli::u64("--rings", "N", rings, "concurrent ring slots", 1),
+           util::cli::u64("--seed", "S", seed, "soak seed")})) {
+    return 2;
   }
   if (smoke) {
     duration = 1.0;
@@ -54,8 +48,6 @@ int main(int argc, char** argv) {
       "supervised elections under crash/recover churn and fault storms with "
       "zero safety violations, every completion within the Theorem 1 bound");
 
-  bench::JsonReport report("E15", "soak harness throughput under churn");
-  bench::apply_json_flag(report, argc, argv);
   bench::WallTimer total;
 
   util::Table table({"churn", "rings", "shards", "elections", "retried",

@@ -22,13 +22,11 @@
 // report the running process maximum (equal to their own peak whenever
 // they are the high-water mark).
 //
-// Flags: --smoke (CI-sized: sweep capped, Alg 2 at 10^4), --workers N
-// (executor workers, default 1), --json <dir> (redirect BENCH_E16.json).
+// --smoke is the CI-sized run: the sweep is capped and Alg 2 runs at 10^4.
 #include <sys/resource.h>
 
 #include <condition_variable>
 #include <cstdint>
-#include <cstring>
 #include <iostream>
 #include <mutex>
 #include <numeric>
@@ -163,13 +161,12 @@ bench::Json json_row(const char* runtime, const SweepRow& row) {
 
 int main(int argc, char** argv) {
   bool smoke = false;
+  bench::JsonReport report("E16", "coroutine executor vs ThreadRing");
   std::size_t workers = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--workers") == 0 && i + 1 < argc) {
-      workers = static_cast<std::size_t>(std::atoll(argv[++i]));
-    }
+  if (!report.parse_args(argc, argv, smoke,
+                         {util::cli::u64("--workers", "N", workers,
+                                         "executor threads", 1, 256)})) {
+    return 2;
   }
 
   bench::banner(
@@ -178,8 +175,6 @@ int main(int argc, char** argv) {
       "runs the same blocking-style transcriptions as ThreadRing at 10x+ "
       "the ring size with exact Theorem 1 / Corollary 13 pulse counts");
 
-  bench::JsonReport report("E16", "coroutine executor vs ThreadRing");
-  bench::apply_json_flag(report, argc, argv);
   bench::WallTimer total;
 
   util::Table table({"runtime", "n", "pulses", "seconds", "nodes/s",

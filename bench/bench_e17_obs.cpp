@@ -23,9 +23,10 @@
 //    phase sum may legitimately exceed the conservation counter by the
 //    dropped count; see svc/supervisor.hpp.)
 //
-// Flags: --smoke (CI-sized durations), --json <dir> (redirect artifact).
+// --smoke uses CI-sized durations.
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <condition_variable>
 #include <cstdint>
 #include <cstring>
@@ -192,9 +193,9 @@ ScrapeProbe scrape_probe_soak(svc::SoakOptions options) {
       probe.metrics_ok = ok;
       const std::size_t at = body.find("\ncolex_elections_total ");
       if (at != std::string::npos) {
-        probe.scraped_elections = std::strtoull(
+        std::from_chars(
             body.c_str() + at + std::strlen("\ncolex_elections_total "),
-            nullptr, 10);
+            body.c_str() + body.size(), probe.scraped_elections);
       }
     }
     if (obs::http_get("127.0.0.1", probe.port, "/healthz", status, body)) {
@@ -214,9 +215,8 @@ ScrapeProbe scrape_probe_soak(svc::SoakOptions options) {
 
 int main(int argc, char** argv) {
   bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-  }
+  bench::JsonReport report("E17", "telemetry overhead and fidelity gates");
+  if (!report.parse_args(argc, argv, smoke)) return 2;
 
   bench::banner(
       "E17 — live telemetry plane: cost and fidelity",
@@ -224,8 +224,6 @@ int main(int argc, char** argv) {
       "<=3% soak throughput, cost exactly zero when off, and attribute "
       "every pulse to an algorithm phase with conservation-exact sums");
 
-  bench::JsonReport report("E17", "telemetry overhead and fidelity gates");
-  bench::apply_json_flag(report, argc, argv);
   bench::WallTimer total;
 
   // --- Gate 1: zero-overhead-when-off is exact. -------------------------

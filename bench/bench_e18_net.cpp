@@ -23,9 +23,8 @@
 // socket-vs-coro speed gate — syscalls per pulse make sockets slower by
 // design; the recorded factor is the cost of real I/O, not a regression.
 //
-// Flags: --smoke (CI-sized sweep), --json <dir> (redirect BENCH_E18.json).
+// --smoke runs the CI-sized sweep.
 #include <cstdint>
-#include <cstring>
 #include <iostream>
 #include <numeric>
 #include <string>
@@ -101,9 +100,8 @@ bench::Json json_row(const Row& row) {
 
 int main(int argc, char** argv) {
   bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-  }
+  bench::JsonReport report("E18", "socket transport vs coroutine executor");
+  if (!report.parse_args(argc, argv, smoke)) return 2;
 
   bench::banner(
       "E18 — real-socket transport: the same elections over actual TCP",
@@ -112,8 +110,6 @@ int main(int argc, char** argv) {
       "per node) land the exact Theorem 1 / Corollary 13 pulse counts with "
       "a unique max-ID leader, with quiescence proven from wire counters");
 
-  bench::JsonReport report("E18", "socket transport vs coroutine executor");
-  bench::apply_json_flag(report, argc, argv);
   bench::WallTimer total;
 
   util::Table table({"runtime", "alg", "n", "pulses", "seconds", "nodes/s",

@@ -4,10 +4,8 @@
 //
 // Besides the sweep, one representative run (n=4, dense-shuffled IDs) is
 // recorded with full tracing + metrics and exported as TRACE_E1.jsonl —
-// the smoke artifact ci.sh feeds to `colex-inspect check`. Flags:
-//   --smoke        cap the sweep at n<=8 (CI smoke path)
-//   --json <dir>   redirect BENCH_E1.json (also: COLEX_BENCH_JSON_DIR)
-#include <cstring>
+// the smoke artifact ci.sh feeds to `colex-inspect check`. --smoke caps
+// the sweep at n<=8 (the CI smoke path).
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -69,17 +67,14 @@ bool export_observed_run(colex::bench::JsonReport& report) {
 int main(int argc, char** argv) {
   using namespace colex;
   bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-  }
+  bench::JsonReport report("E1", "Theorem 1 exact message complexity");
+  if (!report.parse_args(argc, argv, smoke)) return 2;
   bench::banner(
       "E1  Theorem 1: quiescently terminating leader election "
       "(bench_e1_theorem1)",
       "message complexity is exactly n(2*IDmax+1); the max-ID node wins; "
       "termination is quiescent under every adversary");
   bench::WallTimer total;
-  bench::JsonReport report("E1", "Theorem 1 exact message complexity");
-  bench::apply_json_flag(report, argc, argv);
 
   struct Pattern {
     const char* name;

@@ -83,8 +83,9 @@ run_lint() {
 
 # Soak smoke (DESIGN.md §9): a short sharded multi-ring soak under steady
 # churn must finish with the service-level gate intact — zero diverged,
-# zero safety-violated, zero abandoned elections — verified on the --json
-# summary, not just the exit code, so a reporting regression also fails.
+# zero safety-violated, zero abandoned elections, and at least the 200
+# elections it asked for — verified on the --json summary, not just the
+# exit code, so a reporting regression (or a run of 0 elections) also fails.
 run_soak_smoke() {
   local dir="$1" label="$2"
   echo "==> [$label] soak smoke: colex-soak (256 rings, >=200 elections)"
@@ -97,6 +98,12 @@ run_soak_smoke() {
   echo "$summary" | grep -q '"safety_violated":0,'
   echo "$summary" | grep -q '"abandoned":0,'
   echo "$summary" | grep -q '"ok":true'
+  local completed
+  completed="$(echo "$summary" | sed -n 's/.*"completed":\([0-9]*\),.*/\1/p')"
+  if [ -z "$completed" ] || [ "$completed" -lt 200 ]; then
+    echo "    FAIL: soak completed '${completed}' elections (want >= 200)" >&2
+    exit 1
+  fi
 }
 
 # Coroutine-runtime smoke: bench_e16_coro --smoke runs a 10^4-node election

@@ -2,20 +2,21 @@
 // ring under any adversary, inspect solitude patterns, compare against the
 // classical baselines.
 //
-//   colexctl elect      [--alg alg1|alg2|alg3] [--scheme doubled|improved]
-//                       [--n N | --ids 3,9,2] [--scramble SEED]
-//                       [--scheduler NAME] [--seed S]
-//   colexctl anonymous  [--n N] [--c C] [--seed S] [--scheduler NAME]
-//   colexctl compose    [--n N] [--seed S]            (Corollary 5 demo)
-//   colexctl solitude   [--id I]                      (Definition 21)
-//   colexctl baselines  [--n N] [--seed S]
-//   colexctl explore    [--ids 1,2] [--budget B]       (every schedule)
-//   colexctl schedulers                                (list adversaries)
-#include <cstdlib>
+//   colexctl elect       run Algorithm 1, 2 or 3 on one ring
+//   colexctl anonymous   sample IDs, then elect (anonymous rings)
+//   colexctl compose     Corollary 5 demo: election + bus computation
+//   colexctl solitude    Definition 21's solitude pattern of one ID
+//   colexctl baselines   message counts of the classical algorithms
+//   colexctl explore     every schedule of a tiny ring
+//   colexctl schedulers  list the adversaries
+//
+// Exit status (DESIGN.md §15): 0 ok, 1 the run failed its check, 2 usage
+// error (printed with the generated usage) or contract violation.
+#include <algorithm>
 #include <iostream>
-#include <map>
-#include <sstream>
+#include <limits>
 #include <string>
+#include <string_view>
 
 #include "baselines/baselines.hpp"
 #include "co/election.hpp"
@@ -24,6 +25,7 @@
 #include "lb/solitude.hpp"
 #include "sim/explore.hpp"
 #include "sim/scheduler.hpp"
+#include "util/cli.hpp"
 #include "util/ids.hpp"
 #include "util/table.hpp"
 
@@ -31,45 +33,22 @@ namespace {
 
 using namespace colex;
 
-using Args = std::map<std::string, std::string>;
+namespace cli = util::cli;
 
-Args parse_args(int argc, char** argv, int from) {
-  Args args;
-  for (int i = from; i < argc; ++i) {
-    std::string key = argv[i];
-    if (key.rfind("--", 0) != 0) continue;
-    key = key.substr(2);
-    if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-      args[key] = argv[++i];
-    } else {
-      args[key] = "1";
-    }
-  }
-  return args;
-}
-
-std::string get(const Args& args, const std::string& key,
-                const std::string& fallback) {
-  const auto it = args.find(key);
-  return it == args.end() ? fallback : it->second;
-}
-
-std::uint64_t get_u64(const Args& args, const std::string& key,
-                      std::uint64_t fallback) {
-  const auto it = args.find(key);
-  return it == args.end() ? fallback
-                          : std::strtoull(it->second.c_str(), nullptr, 10);
-}
-
-std::vector<std::uint64_t> parse_ids(const std::string& csv) {
-  std::vector<std::uint64_t> ids;
-  std::stringstream ss(csv);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    ids.push_back(std::strtoull(item.c_str(), nullptr, 10));
-  }
-  return ids;
-}
+/// Every flag value colexctl's commands read, at its default.
+struct Args {
+  std::string alg = "alg2";
+  std::string scheme = "improved";
+  std::size_t n = 8;
+  std::vector<std::uint64_t> ids;  ///< empty: a seeded shuffle of 1..n
+  std::uint64_t scramble = 0;
+  std::string scheduler = "random";
+  std::unique_ptr<sim::Scheduler> adversary;  ///< resolved from `scheduler`
+  std::uint64_t seed = 1;
+  double c = 2.0;
+  std::uint64_t id = 5;
+  std::uint64_t budget = 2'000'000;
+};
 
 std::unique_ptr<sim::Scheduler> make_scheduler(const std::string& name,
                                                std::uint64_t seed) {
@@ -83,31 +62,19 @@ std::unique_ptr<sim::Scheduler> make_scheduler(const std::string& name,
 }
 
 std::vector<std::uint64_t> resolve_ids(const Args& args) {
-  if (args.count("ids") != 0) return parse_ids(get(args, "ids", ""));
-  const auto n = static_cast<std::size_t>(get_u64(args, "n", 8));
-  return util::shuffled(util::dense_ids(n), get_u64(args, "seed", 1) + 7);
+  if (!args.ids.empty()) return args.ids;
+  return util::shuffled(util::dense_ids(args.n), args.seed + 7);
 }
 
 int cmd_elect(const Args& args) {
   const auto ids = resolve_ids(args);
-  if (ids.empty()) {
-    std::cerr << "no ids\n";
-    return 1;
-  }
-  const auto scheduler_name = get(args, "scheduler", "random");
-  auto scheduler = make_scheduler(scheduler_name, get_u64(args, "seed", 1));
-  if (scheduler == nullptr) {
-    std::cerr << "unknown scheduler '" << scheduler_name
-              << "' (see: colexctl schedulers)\n";
-    return 1;
-  }
-  const auto alg = get(args, "alg", "alg2");
+  sim::Scheduler& scheduler = *args.adversary;
 
   std::uint64_t id_max = 0;
   for (const auto id : ids) id_max = std::max(id_max, id);
 
-  if (alg == "alg1") {
-    const auto result = co::elect_oriented_stabilizing(ids, *scheduler);
+  if (args.alg == "alg1") {
+    const auto result = co::elect_oriented_stabilizing(ids, scheduler);
     std::cout << "alg1 (stabilizing): leader="
               << (result.leader ? std::to_string(*result.leader) : "-")
               << " pulses=" << result.pulses << " (n*IDmax="
@@ -115,8 +82,8 @@ int cmd_elect(const Args& args) {
               << (result.quiescent ? "yes" : "no") << "\n";
     return result.valid_election() ? 0 : 1;
   }
-  if (alg == "alg2") {
-    const auto result = co::elect_oriented_terminating(ids, *scheduler);
+  if (args.alg == "alg2") {
+    const auto result = co::elect_oriented_terminating(ids, scheduler);
     std::cout << "alg2 (terminating): leader="
               << (result.leader ? std::to_string(*result.leader) : "-")
               << " pulses=" << result.pulses << " (n(2*IDmax+1)="
@@ -125,42 +92,25 @@ int cmd_elect(const Args& args) {
               << (result.all_terminated ? "yes" : "no") << "\n";
     return result.valid_election() ? 0 : 1;
   }
-  if (alg == "alg3") {
-    co::Alg3NonOriented::Options options;
-    options.scheme = get(args, "scheme", "improved") == "doubled"
-                         ? co::IdScheme::doubled
-                         : co::IdScheme::improved;
-    const auto flips = util::random_flips(
-        ids.size(), get_u64(args, "scramble", 0));
-    const auto result =
-        co::elect_and_orient(ids, flips, options, *scheduler);
-    std::cout << "alg3 (" << to_string(options.scheme)
-              << "): leader="
-              << (result.leader ? std::to_string(*result.leader) : "-")
-              << " pulses=" << result.pulses << " oriented="
-              << (result.orientation_consistent ? "yes" : "no") << "\n";
-    return result.valid_election() && result.orientation_consistent ? 0 : 1;
-  }
-  std::cerr << "unknown --alg '" << alg << "'\n";
-  return 1;
+  co::Alg3NonOriented::Options options;
+  options.scheme = args.scheme == "doubled" ? co::IdScheme::doubled
+                                            : co::IdScheme::improved;
+  const auto flips = util::random_flips(ids.size(), args.scramble);
+  const auto result = co::elect_and_orient(ids, flips, options, scheduler);
+  std::cout << "alg3 (" << to_string(options.scheme) << "): leader="
+            << (result.leader ? std::to_string(*result.leader) : "-")
+            << " pulses=" << result.pulses << " oriented="
+            << (result.orientation_consistent ? "yes" : "no") << "\n";
+  return result.valid_election() && result.orientation_consistent ? 0 : 1;
 }
 
 int cmd_anonymous(const Args& args) {
-  const auto n = static_cast<std::size_t>(get_u64(args, "n", 8));
-  const double c = std::strtod(get(args, "c", "2.0").c_str(), nullptr);
-  const auto seed = get_u64(args, "seed", 1);
-  auto scheduler =
-      make_scheduler(get(args, "scheduler", "random"), seed);
-  if (scheduler == nullptr || n == 0 || c <= 0) {
-    std::cerr << "bad arguments\n";
-    return 1;
-  }
-  const auto flips = util::random_flips(n, seed * 3);
-  const auto result =
-      co::anonymous_election(n, flips, c, seed, *scheduler);
+  const auto flips = util::random_flips(args.n, args.seed * 3);
+  const auto result = co::anonymous_election(args.n, flips, args.c, args.seed,
+                                             *args.adversary);
   std::uint64_t mx = 0;
   for (const auto& s : result.sampled) mx = std::max(mx, s.id);
-  std::cout << "anonymous: n=" << n << " c=" << c << " IDmax=" << mx
+  std::cout << "anonymous: n=" << args.n << " c=" << args.c << " IDmax=" << mx
             << " unique-max=" << (result.sampled_unique_max ? "yes" : "no")
             << " elected="
             << (result.election.valid_election() ? "yes" : "no")
@@ -170,17 +120,13 @@ int cmd_anonymous(const Args& args) {
 
 int cmd_compose(const Args& args) {
   const auto ids = resolve_ids(args);
-  auto scheduler =
-      make_scheduler(get(args, "scheduler", "random"),
-                     get_u64(args, "seed", 1));
-  if (scheduler == nullptr) return 1;
   sim::PulseNetwork net;
   const auto result = colib::run_composed_with_network(
       ids,
       [](sim::NodeId v) {
         return std::make_unique<colib::GatherAllApp>(v + 1);
       },
-      *scheduler, {}, net);
+      *args.adversary, {}, net);
   std::cout << "compose: leader="
             << (result.leader ? std::to_string(*result.leader) : "-")
             << " n-learned=" << result.ring_size_learned
@@ -191,16 +137,15 @@ int cmd_compose(const Args& args) {
 }
 
 int cmd_solitude(const Args& args) {
-  const auto id = get_u64(args, "id", 5);
   const auto pattern = lb::solitude_pattern(
       [](std::uint64_t i) -> std::unique_ptr<sim::PulseAutomaton> {
         return std::make_unique<co::Alg2Terminating>(i);
       },
-      id);
-  std::cout << "solitude pattern of ID " << id << " (0=CW, 1=CCW): "
+      args.id);
+  std::cout << "solitude pattern of ID " << args.id << " (0=CW, 1=CCW): "
             << pattern.bits << "\n";
   std::cout << "length=" << pattern.bits.size() << " (2*ID+1="
-            << 2 * id + 1 << "), terminated="
+            << 2 * args.id + 1 << "), terminated="
             << (pattern.terminated ? "yes" : "no") << "\n";
   return 0;
 }
@@ -220,9 +165,7 @@ int cmd_baselines(const Args& args) {
   row("peterson", baselines::peterson(ids, s3));
   row("franklin", baselines::franklin(ids, s4));
   sim::GlobalFifoScheduler s5;
-  const auto ir =
-      baselines::itai_rodeh(ids.size(), get_u64(args, "seed", 1), s5);
-  row("itai-rodeh (anon)", ir);
+  row("itai-rodeh (anon)", baselines::itai_rodeh(ids.size(), args.seed, s5));
   sim::GlobalFifoScheduler s6;
   const auto co_result = co::elect_oriented_terminating(ids, s6);
   table.add_row({"content-oblivious alg2",
@@ -235,13 +178,8 @@ int cmd_baselines(const Args& args) {
 }
 
 int cmd_explore(const Args& args) {
-  const auto ids = args.count("ids") != 0
-                       ? parse_ids(get(args, "ids", ""))
-                       : std::vector<std::uint64_t>{1, 2};
-  if (ids.empty() || ids.size() > 3) {
-    std::cerr << "explore: give 1-3 ids (the schedule tree is exponential)\n";
-    return 1;
-  }
+  const auto ids = args.ids.empty() ? std::vector<std::uint64_t>{1, 2}
+                                    : args.ids;
   std::uint64_t id_max = 0;
   for (const auto id : ids) id_max = std::max(id_max, id);
   std::uint64_t bad_leaves = 0;
@@ -267,7 +205,7 @@ int cmd_explore(const Args& args) {
           ++bad_leaves;
         }
       },
-      get_u64(args, "budget", 2'000'000));
+      args.budget);
   std::cout << "explore: " << stats.leaves << " distinct schedules"
             << (stats.exhaustive() ? " (exhaustive)" : " (TRUNCATED)")
             << ", max depth " << stats.max_depth << ", violations "
@@ -283,41 +221,69 @@ int cmd_schedulers() {
   return 0;
 }
 
-void usage() {
-  std::cout <<
-      "usage: colexctl <command> [options]\n"
-      "  elect      --alg alg1|alg2|alg3 [--scheme doubled|improved]\n"
-      "             [--n N | --ids 3,9,2] [--scramble SEED]\n"
-      "             [--scheduler NAME] [--seed S]\n"
-      "  anonymous  --n N --c C [--seed S]\n"
-      "  compose    [--n N | --ids ...] [--seed S]\n"
-      "  solitude   --id I\n"
-      "  baselines  [--n N | --ids ...]\n"
-      "  explore    --ids 1,2 [--budget B]   (exhaustive schedules)\n"
-      "  schedulers\n";
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
-    usage();
-    return 1;
-  }
-  const std::string command = argv[1];
-  const Args args = parse_args(argc, argv, 2);
+  Args args;
+  auto one_of = [](std::string& target, std::vector<std::string_view> names) {
+    return [&target, names](std::string_view v) {
+      target = std::string(v);
+      return std::ranges::find(names, v) != names.end();
+    };
+  };
+  const cli::Flag n =
+      cli::u64("--n", "N", args.n, "ring size; IDs: 1..N shuffled by seed", 1);
+  const cli::Flag ids =
+      cli::u64_list("--ids", "LIST", args.ids, "explicit IDs (3,9,2)");
+  const cli::Flag seed = cli::u64("--seed", "S", args.seed, "RNG seed");
+  const cli::Flag scheduler = cli::str("--scheduler", "NAME", args.scheduler,
+                                       "adversary (see: colexctl schedulers)");
+  auto known_scheduler = [&args] {
+    args.adversary = make_scheduler(args.scheduler, args.seed);
+    return args.adversary ? "" : "unknown --scheduler '" + args.scheduler + "'";
+  };
+  const std::vector<cli::Command> commands = {
+      {.name = "elect",
+       .flags = {cli::Flag{"--alg", "A", "alg1 | alg2 | alg3 (default alg2)",
+                             one_of(args.alg, {"alg1", "alg2", "alg3"})},
+                 cli::Flag{"--scheme", "S",
+                             "alg3 IDs: doubled | improved (default improved)",
+                             one_of(args.scheme, {"doubled", "improved"})},
+                 n, ids,
+                 cli::u64("--scramble", "SEED", args.scramble,
+                          "seed of alg3's port flips"),
+                 scheduler, seed},
+       .check = known_scheduler,
+       .body = [&args] { return cmd_elect(args); }},
+      {.name = "anonymous",
+       .flags = {n,
+                 cli::f64("--c", "C", args.c, "ID-sampling constant",
+                          std::numeric_limits<double>::denorm_min()),
+                 seed, scheduler},
+       .check = known_scheduler,
+       .body = [&args] { return cmd_anonymous(args); }},
+      {.name = "compose",
+       .flags = {n, ids, seed, scheduler},
+       .check = known_scheduler,
+       .body = [&args] { return cmd_compose(args); }},
+      {.name = "solitude",
+       .flags = {cli::u64("--id", "I", args.id, "the ID to run alone")},
+       .body = [&args] { return cmd_solitude(args); }},
+      {.name = "baselines",
+       .flags = {n, ids, seed},
+       .body = [&args] { return cmd_baselines(args); }},
+      {.name = "explore",
+       .flags = {ids, cli::u64("--budget", "B", args.budget, "leaf budget")},
+       .check = [&args] {
+         return args.ids.size() <= 3 ? "" : "explore takes at most 3 --ids";
+       },
+       .body = [&args] { return cmd_explore(args); }},
+      {.name = "schedulers", .body = cmd_schedulers},
+  };
   try {
-    if (command == "elect") return cmd_elect(args);
-    if (command == "anonymous") return cmd_anonymous(args);
-    if (command == "compose") return cmd_compose(args);
-    if (command == "solitude") return cmd_solitude(args);
-    if (command == "baselines") return cmd_baselines(args);
-    if (command == "explore") return cmd_explore(args);
-    if (command == "schedulers") return cmd_schedulers();
+    return cli::run(commands, argc, argv);
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 2;
   }
-  usage();
-  return 1;
 }

@@ -65,13 +65,10 @@ inline std::vector<CoroNode> wire_ring(std::size_t n,
   COLEX_EXPECTS(port_flips.empty() || port_flips.size() == n);
   COLEX_EXPECTS(n <= UINT32_MAX);
   std::vector<CoroNode> nodes(n);
-  auto flipped = [&port_flips](std::size_t v) {
-    return !port_flips.empty() && port_flips[v];
-  };
   for (std::size_t i = 0; i < n; ++i) {
     const std::size_t j = (i + 1) % n;
-    const sim::Port from = flipped(i) ? sim::Port::p0 : sim::Port::p1;
-    const sim::Port to = flipped(j) ? sim::Port::p1 : sim::Port::p0;
+    const sim::Port from = sim::successor_port(port_flips, i);
+    const sim::Port to = sim::opposite(sim::successor_port(port_flips, j));
     nodes[i].peer[sim::index(from)] = static_cast<std::uint32_t>(j);
     nodes[i].peer_port[sim::index(from)] =
         static_cast<std::uint8_t>(sim::index(to));

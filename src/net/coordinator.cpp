@@ -60,7 +60,7 @@ CoordinatorResult Coordinator::run() {
     res.error = "coordinator: ring_size is zero";
     return res;
   }
-  const Deadline deadline = Deadline::in_ms(options_.timeout_ms);
+  const util::Deadline deadline = util::Deadline::in_ms(options_.timeout_ms);
   obs::FlightRing* flight = options_.flight;
   std::string err;
   set_nonblocking(listener_.get(), &err);
@@ -103,7 +103,8 @@ CoordinatorResult Coordinator::run() {
                        std::string* berr) {
     for (Conn& c : conns) {
       if (!c.fd.valid() || c.eof) continue;
-      if (!send_all(c.fd.get(), frame.data(), frame.size(), deadline, berr)) {
+      if (!util::send_all(c.fd.get(), frame.data(), frame.size(), deadline,
+                          berr)) {
         return false;
       }
     }
@@ -238,7 +239,8 @@ CoordinatorResult Coordinator::run() {
         conns[static_cast<std::size_t>(by_index[(v + 1) % n])];
     const std::vector<unsigned char> frame =
         encode_ctl(Ctl::peers, {n, succ.data_port});
-    if (!send_all(c.fd.get(), frame.data(), frame.size(), deadline, &err)) {
+    if (!util::send_all(c.fd.get(), frame.data(), frame.size(), deadline,
+                        &err)) {
       return abort_run("PEERS to node " + std::to_string(v) + ": " + err);
     }
   }

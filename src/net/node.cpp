@@ -25,13 +25,13 @@ constexpr std::uint64_t kFlushBatch = 64;
 // --- Handshake -----------------------------------------------------------
 
 bool send_hello(int fd, std::uint32_t sender, std::uint32_t ring_size,
-                const Deadline& deadline, std::string* err) {
+                const util::Deadline& deadline, std::string* err) {
   const std::vector<unsigned char> frame = encode_hello(sender, ring_size);
-  return send_all(fd, frame.data(), frame.size(), deadline, err);
+  return util::send_all(fd, frame.data(), frame.size(), deadline, err);
 }
 
 bool expect_hello(int fd, std::uint32_t want_sender, std::uint32_t ring_size,
-                  const Deadline& deadline, std::string* err) {
+                  const util::Deadline& deadline, std::string* err) {
   HelloParser parser;
   std::size_t got = 0;
   while (got < kHelloSize) {
@@ -88,7 +88,7 @@ bool expect_hello(int fd, std::uint32_t want_sender, std::uint32_t ring_size,
 }
 
 Fd accept_predecessor(int listener, std::uint32_t want_sender,
-                      std::uint32_t ring_size, const Deadline& deadline,
+                      std::uint32_t ring_size, const util::Deadline& deadline,
                       std::string* err, obs::FlightRing* flight) {
   for (;;) {
     std::string attempt_err;
@@ -114,7 +114,7 @@ Fd accept_predecessor(int listener, std::uint32_t want_sender,
 // --- PulseEndpoint -------------------------------------------------------
 
 PulseEndpoint::PulseEndpoint(Fd succ, Fd pred, Fd ctl, sim::Port succ_port,
-                             Deadline deadline, CtlParser parser,
+                             util::Deadline deadline, CtlParser parser,
                              std::vector<CtlMsg> pending,
                              obs::FlightRing* flight)
     : ctl_(std::move(ctl)),
@@ -164,7 +164,7 @@ bool PulseEndpoint::flush_link(Link& link) {
                                   ? sizeof(buf)
                                   : static_cast<std::size_t>(link.out_pending);
     std::string err;
-    if (!send_all(link.fd.get(), buf, chunk, deadline_, &err)) {
+    if (!util::send_all(link.fd.get(), buf, chunk, deadline_, &err)) {
       fail("pulse flush: " + err);
       return false;
     }
@@ -273,7 +273,8 @@ bool PulseEndpoint::report() {
       encode_ctl(Ctl::report, {done_ ? kStateDone : kStateIdle,
                                counters_.sent, counters_.consumed});
   std::string err;
-  if (!send_all(ctl_.get(), frame.data(), frame.size(), deadline_, &err)) {
+  if (!util::send_all(ctl_.get(), frame.data(), frame.size(), deadline_,
+                      &err)) {
     fail("report: " + err);
     return false;
   }
@@ -297,7 +298,8 @@ void PulseEndpoint::answer_pending_probe() {
       Ctl::probe_ack, {probe_round_, done_ ? kStateDone : kStateIdle,
                        counters_.sent, counters_.consumed});
   std::string err;
-  if (!send_all(ctl_.get(), frame.data(), frame.size(), deadline_, &err)) {
+  if (!util::send_all(ctl_.get(), frame.data(), frame.size(), deadline_,
+                      &err)) {
     fail("probe ack: " + err);
     return;
   }
@@ -440,7 +442,7 @@ namespace {
 /// (or EOF, or the deadline) is a formation failure. Frames decoded beyond
 /// `want` stay in `pending` for the endpoint to inherit.
 bool await_ctl(int fd, CtlParser& parser, std::vector<CtlMsg>& pending,
-               Ctl want, CtlMsg* out, const Deadline& deadline,
+               Ctl want, CtlMsg* out, const util::Deadline& deadline,
                std::string* err) {
   for (;;) {
     if (!pending.empty()) {
@@ -491,7 +493,7 @@ bool await_ctl(int fd, CtlParser& parser, std::vector<CtlMsg>& pending,
 
 NodeResult run_ring_node(const RingNodeConfig& cfg) {
   NodeResult res;
-  const Deadline deadline = Deadline::in_ms(cfg.timeout_ms);
+  const util::Deadline deadline = util::Deadline::in_ms(cfg.timeout_ms);
   std::string err;
 
   // Failures are reported both locally and — when the control connection is
@@ -503,7 +505,7 @@ NodeResult run_ring_node(const RingNodeConfig& cfg) {
     if (ctl_fd >= 0) {
       const std::vector<unsigned char> frame = encode_err(res.error);
       std::string ignored;
-      send_all(ctl_fd, frame.data(), frame.size(), deadline, &ignored);
+      util::send_all(ctl_fd, frame.data(), frame.size(), deadline, &ignored);
     }
     return res;
   };
@@ -524,7 +526,8 @@ NodeResult run_ring_node(const RingNodeConfig& cfg) {
   {
     const std::vector<unsigned char> frame =
         encode_ctl(Ctl::join, {cfg.index, data_port});
-    if (!send_all(ctl.get(), frame.data(), frame.size(), deadline, &err)) {
+    if (!util::send_all(ctl.get(), frame.data(), frame.size(), deadline,
+                        &err)) {
       return fail("join: " + err);
     }
   }
@@ -563,7 +566,8 @@ NodeResult run_ring_node(const RingNodeConfig& cfg) {
 
   {
     const std::vector<unsigned char> frame = encode_ctl(Ctl::ready, {});
-    if (!send_all(ctl.get(), frame.data(), frame.size(), deadline, &err)) {
+    if (!util::send_all(ctl.get(), frame.data(), frame.size(), deadline,
+                        &err)) {
       return fail("ready: " + err);
     }
   }
@@ -572,11 +576,8 @@ NodeResult run_ring_node(const RingNodeConfig& cfg) {
   }
   if (cfg.flight != nullptr) cfg.flight->record("go");
 
-  // The successor edge carries the node's Port1 label in the oriented base,
-  // Port0 under a flip — identical to sim::wire_ring / coro::wire_ring.
-  const sim::Port succ_label = cfg.flip ? sim::Port::p0 : sim::Port::p1;
   PulseEndpoint ep(std::move(succ), std::move(pred), std::move(ctl),
-                   succ_label, deadline, std::move(parser),
+                   sim::successor_port(cfg.flip), deadline, std::move(parser),
                    std::move(pending), cfg.flight);
 
   rt::BlockingOutcome out;
@@ -595,7 +596,8 @@ NodeResult run_ring_node(const RingNodeConfig& cfg) {
 
   const std::vector<unsigned char> frame =
       encode_result(out, ep.sent(), ep.consumed());
-  if (!send_all(ep.ctl_fd(), frame.data(), frame.size(), deadline, &err)) {
+  if (!util::send_all(ep.ctl_fd(), frame.data(), frame.size(), deadline,
+                      &err)) {
     return fail("result: " + err);
   }
   ep.shutdown();

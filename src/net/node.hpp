@@ -79,13 +79,13 @@ struct EndpointCounters {
 
 /// Writes the HELLO frame on a freshly connected edge.
 bool send_hello(int fd, std::uint32_t sender, std::uint32_t ring_size,
-                const Deadline& deadline, std::string* err);
+                const util::Deadline& deadline, std::string* err);
 
 /// Reads exactly one HELLO from `fd` (incremental, deadline-bound) and
 /// validates sender/ring size. Never over-reads: pulse bytes follow the
 /// HELLO on the same stream.
 bool expect_hello(int fd, std::uint32_t want_sender, std::uint32_t ring_size,
-                  const Deadline& deadline, std::string* err);
+                  const util::Deadline& deadline, std::string* err);
 
 /// Accepts on `listener` until a connection completes the predecessor
 /// handshake, and returns it. Ephemeral ports are recycled, so on a busy
@@ -95,7 +95,7 @@ bool expect_hello(int fd, std::uint32_t want_sender, std::uint32_t ring_size,
 /// real predecessor's connect waits behind it in the listener backlog.
 /// Only accept failure or deadline expiry is fatal (invalid Fd, `err` set).
 Fd accept_predecessor(int listener, std::uint32_t want_sender,
-                      std::uint32_t ring_size, const Deadline& deadline,
+                      std::uint32_t ring_size, const util::Deadline& deadline,
                       std::string* err, obs::FlightRing* flight = nullptr);
 
 /// The per-node rt::Transport over two ring-edge connections plus the
@@ -109,7 +109,7 @@ class PulseEndpoint {
   /// `ctl` carries the coordinator protocol; `parser`/`pending` carry over
   /// control bytes already read during formation.
   PulseEndpoint(Fd succ, Fd pred, Fd ctl, sim::Port succ_port,
-                Deadline deadline, CtlParser parser = {},
+                util::Deadline deadline, CtlParser parser = {},
                 std::vector<CtlMsg> pending = {},
                 obs::FlightRing* flight = nullptr);
 
@@ -168,7 +168,7 @@ class PulseEndpoint {
 
   Link links_[2];  ///< indexed by the LOCAL port label they carry
   Fd ctl_;
-  Deadline deadline_;
+  util::Deadline deadline_;
   CtlParser ctl_parser_;
   std::uint64_t queue_[2] = {0, 0};  ///< arrived, unconsumed pulses
   EndpointCounters counters_;

@@ -91,7 +91,7 @@ ConnectResult connect_once(std::uint16_t port) {
   return r;
 }
 
-Fd connect_retry(std::uint16_t port, const Deadline& deadline,
+Fd connect_retry(std::uint16_t port, const util::Deadline& deadline,
                  std::string* err) {
   for (;;) {
     ConnectResult r = connect_once(port);
@@ -115,7 +115,7 @@ Fd connect_retry(std::uint16_t port, const Deadline& deadline,
   }
 }
 
-Fd accept_one(int listener, const Deadline& deadline, std::string* err) {
+Fd accept_one(int listener, const util::Deadline& deadline, std::string* err) {
   for (;;) {
     pollfd pfd{listener, POLLIN, 0};
     const int rc = ::poll(&pfd, 1, deadline.remaining_ms());

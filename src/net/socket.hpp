@@ -4,8 +4,8 @@
 // loopback-oriented (the multi-process harness runs rings on 127.0.0.1)
 // but nothing below assumes it except the connect helpers' address.
 //
-// All blocking operations take an explicit Deadline — the backend has no
-// unbounded waits anywhere (the coordinator's watchdog is the only
+// All blocking operations take an explicit util::Deadline — the backend
+// has no unbounded waits anywhere (the coordinator's watchdog is the only
 // authority on giving up), and the tests drive every timeout path with
 // short deadlines instead of sleeps.
 #pragma once
@@ -45,8 +45,6 @@ class Fd {
   int fd_ = -1;
 };
 
-using util::Deadline;
-
 /// Classified outcome of a single non-retried connect attempt.
 enum class ConnectStatus {
   ok,
@@ -71,14 +69,12 @@ ConnectResult connect_once(std::uint16_t port);
 /// Connects to 127.0.0.1:`port`, retrying refused attempts (with a short
 /// backoff) until the deadline. Returns an invalid Fd with `err` set on a
 /// non-retryable error or deadline expiry.
-Fd connect_retry(std::uint16_t port, const Deadline& deadline,
+Fd connect_retry(std::uint16_t port, const util::Deadline& deadline,
                  std::string* err);
 
 /// Accepts one connection, waiting until the deadline. Returns an invalid
 /// Fd with `err` set on failure or expiry.
-Fd accept_one(int listener, const Deadline& deadline, std::string* err);
-
-using util::send_all;
+Fd accept_one(int listener, const util::Deadline& deadline, std::string* err);
 
 /// Marks the descriptor non-blocking (the per-node event loop reads with
 /// O_NONBLOCK and blocks only in poll()).

@@ -36,15 +36,10 @@ ThreadRing::ThreadRing(std::size_t n, std::vector<bool> port_flips)
     : nodes_(n) {
   COLEX_EXPECTS(n >= 1);
   COLEX_EXPECTS(port_flips.empty() || port_flips.size() == n);
-  auto flipped = [&port_flips](sim::NodeId v) {
-    return !port_flips.empty() && port_flips[v];
-  };
-  // Same layout as sim::Network<P>::ring: edge i attaches node i's Port1 to
-  // node i+1's Port0 in the oriented base, with per-node label flips.
   for (sim::NodeId i = 0; i < n; ++i) {
     const sim::NodeId j = (i + 1) % n;
-    const sim::Port from = flipped(i) ? sim::Port::p0 : sim::Port::p1;
-    const sim::Port to = flipped(j) ? sim::Port::p1 : sim::Port::p0;
+    const sim::Port from = sim::successor_port(port_flips, i);
+    const sim::Port to = sim::opposite(sim::successor_port(port_flips, j));
     nodes_[i].peer[sim::index(from)] = j;
     nodes_[i].peer_port[sim::index(from)] = to;
     nodes_[j].peer[sim::index(to)] = i;

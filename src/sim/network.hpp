@@ -193,15 +193,10 @@ class Network {
     Network net;
     net.nodes_.resize(n);
     net.channels_.reserve(2 * n);
-    auto flipped = [&port_flips](NodeId v) {
-      return !port_flips.empty() && port_flips[v];
-    };
     for (NodeId i = 0; i < n; ++i) {
       const NodeId j = (i + 1) % n;
-      // In the oriented base layout, edge i attaches to node i's Port1 and
-      // node j's Port0; a flip swaps the labels at that node.
-      const Port from_port = flipped(i) ? Port::p0 : Port::p1;
-      const Port to_port = flipped(j) ? Port::p1 : Port::p0;
+      const Port from_port = successor_port(port_flips, i);
+      const Port to_port = opposite(successor_port(port_flips, j));
       net.add_channel(i, from_port, j, to_port, Direction::cw);
       net.add_channel(j, to_port, i, from_port, Direction::ccw);
     }
@@ -499,17 +494,11 @@ class Network {
   std::uint64_t dropped() const { return dropped_; }
   std::uint64_t duplicated() const { return duplicated_; }
 
-  /// Observer invoked at every send with (sender, out-port, direction).
-  /// Used by sim::TraceRecorder; injected faults are deliberately NOT
+  /// Adds an observer invoked at every send with (sender, out-port,
+  /// direction), chained after any installed earlier (new observer first),
+  /// so tracing and metrics instrumentation coexist on one run without
+  /// knowing about each other. Injected faults are deliberately NOT
   /// reported (nobody sent them), so trace audits catch them.
-  void set_send_observer(
-      std::function<void(NodeId, Port, Direction)> observer) {
-    send_observer_ = std::move(observer);
-  }
-
-  /// Like set_send_observer, but preserves and chains a previously installed
-  /// observer (new observer first). Lets tracing and metrics instrumentation
-  /// coexist on one run without knowing about each other.
   void chain_send_observer(
       std::function<void(NodeId, Port, Direction)> observer) {
     if (!send_observer_) {

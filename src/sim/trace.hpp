@@ -102,7 +102,7 @@ class BasicTraceRecorder {
                                        events_.size())});
       if (previous_deliver) previous_deliver(v, p, d);
     };
-    net.set_send_observer([this](NodeId v, Port p, Direction d) {
+    net.chain_send_observer([this](NodeId v, Port p, Direction d) {
       events_.push_back(TraceEvent{TraceEvent::Kind::send, v, p, d,
                                    static_cast<std::uint64_t>(
                                        events_.size())});
@@ -203,19 +203,14 @@ using TraceRecorder = BasicTraceRecorder<Pulse>;
 /// (receiver node+port) to the sender endpoint on the same edge.
 inline auto ring_wiring(std::size_t n, const std::vector<bool>& flips = {}) {
   return [n, flips](NodeId v, Port p) -> std::pair<NodeId, Port> {
-    auto flipped = [&flips](NodeId u) {
-      return !flips.empty() && flips[u];
-    };
-    // In the builder's layout, node v's "toward v+1" attachment is Port1
-    // unless flipped; receiving there means the sender is v+1 on its
-    // "toward v" attachment, and vice versa.
-    const Port toward_next = flipped(v) ? Port::p0 : Port::p1;
-    if (p == toward_next) {
+    // Receiving on the port toward v+1 means the sender is v+1 on its port
+    // toward v, and vice versa.
+    if (p == successor_port(flips, v)) {
       const NodeId sender = (v + 1) % n;
-      return {sender, flipped(sender) ? Port::p1 : Port::p0};
+      return {sender, opposite(successor_port(flips, sender))};
     }
     const NodeId sender = (v + n - 1) % n;
-    return {sender, flipped(sender) ? Port::p0 : Port::p1};
+    return {sender, successor_port(flips, sender)};
   };
 }
 

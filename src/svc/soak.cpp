@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <deque>
 #include <fstream>
 #include <memory>
@@ -26,6 +27,18 @@ using Clock = std::chrono::steady_clock;
 
 double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
+}
+
+/// `t + seconds` for a finite, non-negative `seconds`, saturating at the
+/// clock's end: a duration_cast of an out-of-range double is undefined and
+/// in practice lands in the past. Anything past half the remaining range
+/// (~146 years) is as good as never.
+Clock::time_point after_seconds(Clock::time_point t, double seconds) {
+  const double room =
+      std::chrono::duration<double>(Clock::time_point::max() - t).count();
+  if (seconds >= room / 2) return Clock::time_point::max();
+  return t + std::chrono::duration_cast<Clock::duration>(
+                 std::chrono::duration<double>(seconds));
 }
 
 /// Latency bucket edges (milliseconds): sim elections are tens of
@@ -229,7 +242,8 @@ std::string SoakReport::to_json() const {
 
 SoakReport run_soak(const SoakOptions& options) {
   COLEX_EXPECTS(options.rings >= 1);
-  COLEX_EXPECTS(options.duration_seconds >= 0.0);
+  COLEX_EXPECTS(std::isfinite(options.duration_seconds) &&
+                options.duration_seconds >= 0.0);
   COLEX_EXPECTS(options.progress_depth >= 1);
   COLEX_EXPECTS(options.stall_window >= 1 &&
                 options.stall_window <= options.progress_depth);
@@ -246,9 +260,7 @@ SoakReport run_soak(const SoakOptions& options) {
 
   SharedState shared;
   const auto t0 = Clock::now();
-  const auto deadline =
-      t0 + std::chrono::duration_cast<Clock::duration>(
-               std::chrono::duration<double>(options.duration_seconds));
+  const auto deadline = after_seconds(t0, options.duration_seconds);
 
   // Live consumers (the /metrics server and the periodic snapshot file)
   // read shard-published registry copies; shards skip the ~200ms publish
@@ -346,9 +358,7 @@ SoakReport run_soak(const SoakOptions& options) {
          << "ms started=" << shared.started.load()
          << " finished=" << shared.finished.load();
       global_progress.record(shared.finished.load(), os.str());
-      next_sample =
-          now + std::chrono::duration_cast<Clock::duration>(
-                    std::chrono::duration<double>(options.sample_every_seconds));
+      next_sample = after_seconds(now, options.sample_every_seconds);
     }
     if (!options.snapshot_path.empty() && now >= next_snapshot) {
       if (write_snapshot(options.snapshot_path, merged_live())) {
@@ -356,10 +366,7 @@ SoakReport run_soak(const SoakOptions& options) {
         flight_ring.record("snapshot", report.snapshots_written,
                            shared.finished.load());
       }
-      next_snapshot =
-          now + std::chrono::duration_cast<Clock::duration>(
-                    std::chrono::duration<double>(
-                        options.snapshot_every_seconds));
+      next_snapshot = after_seconds(now, options.snapshot_every_seconds);
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }

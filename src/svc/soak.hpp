@@ -56,7 +56,8 @@ namespace colex::svc {
 struct SoakOptions {
   /// Wall-clock duration. The run stops once the duration elapsed AND
   /// min_elections completed; a shard always finishes its in-flight
-  /// election, never aborting one mid-run.
+  /// election, never aborting one mid-run. Finite and >= 0; a duration
+  /// past the clock's range saturates (the run ends on max_elections).
   double duration_seconds = 10.0;
   /// Concurrent ring slots (each an independent election stream).
   std::size_t rings = 1024;

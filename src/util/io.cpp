@@ -6,6 +6,7 @@
 #include <sys/socket.h>
 
 #include <chrono>
+#include <limits>
 
 namespace colex::util {
 
@@ -20,8 +21,14 @@ std::int64_t steady_ns() {
 }  // namespace
 
 Deadline Deadline::in_ms(std::uint64_t ms) {
+  // Saturate instead of wrapping: a timeout too large to represent is a
+  // deadline that never expires, not one already in the past.
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  const std::int64_t now = steady_ns();
   Deadline d;
-  d.at_ns_ = steady_ns() + static_cast<std::int64_t>(ms) * 1'000'000;
+  d.at_ns_ = ms < static_cast<std::uint64_t>(kMax - now) / 1'000'000
+                 ? now + static_cast<std::int64_t>(ms) * 1'000'000
+                 : kMax;
   return d;
 }
 

@@ -13,7 +13,8 @@ namespace colex::util {
 /// runs cannot be confused by clock steps).
 class Deadline {
  public:
-  /// A deadline `ms` milliseconds from now.
+  /// A deadline `ms` milliseconds from now; one past the clock's range
+  /// saturates to a deadline that never expires.
   static Deadline in_ms(std::uint64_t ms);
   /// Milliseconds until expiry, clamped to [0, cap_ms] for poll().
   int remaining_ms(int cap_ms = 100) const;

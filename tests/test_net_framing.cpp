@@ -166,12 +166,12 @@ TEST(ResultFrame, RoundTripsOutcomeAndCounters) {
 
 TEST(Handshake, HelloRoundTripAndPulsesSurvive) {
   Pair edge;
-  const Deadline deadline = Deadline::in_ms(2000);
+  const util::Deadline deadline = util::Deadline::in_ms(2000);
   std::string err;
   ASSERT_TRUE(send_hello(edge.a.get(), 4, 9, deadline, &err)) << err;
   // Pulses right behind the HELLO in the same segment.
   const unsigned char pulses[3] = {kPulseByte, kPulseByte, kPulseByte};
-  ASSERT_TRUE(send_all(edge.a.get(), pulses, 3, deadline, &err)) << err;
+  ASSERT_TRUE(util::send_all(edge.a.get(), pulses, 3, deadline, &err)) << err;
   ASSERT_TRUE(expect_hello(edge.b.get(), 4, 9, deadline, &err)) << err;
   // expect_hello must not have eaten the pulses.
   unsigned char rest[8] = {};
@@ -181,7 +181,7 @@ TEST(Handshake, HelloRoundTripAndPulsesSurvive) {
 
 TEST(Handshake, WrongSenderRejected) {
   Pair edge;
-  const Deadline deadline = Deadline::in_ms(2000);
+  const util::Deadline deadline = util::Deadline::in_ms(2000);
   std::string err;
   ASSERT_TRUE(send_hello(edge.a.get(), 4, 9, deadline, &err)) << err;
   EXPECT_FALSE(expect_hello(edge.b.get(), 5, 9, deadline, &err));
@@ -194,7 +194,8 @@ TEST(Handshake, PeerEofMidHelloRejected) {
   std::string err;
   ASSERT_EQ(::write(edge.a.get(), half, sizeof(half)), 6);
   edge.a.reset();  // EOF with the HELLO half-sent
-  EXPECT_FALSE(expect_hello(edge.b.get(), 0, 1, Deadline::in_ms(2000), &err));
+  EXPECT_FALSE(expect_hello(edge.b.get(), 0, 1, util::Deadline::in_ms(2000),
+                            &err));
   EXPECT_NE(err.find("peer closed"), std::string::npos);
 }
 
@@ -207,7 +208,7 @@ TEST(Handshake, AcceptPredecessorDropsStrayConnections) {
   std::string err;
   Fd listener = listen_on(0, &port, &err);
   ASSERT_TRUE(listener.valid()) << err;
-  const Deadline deadline = Deadline::in_ms(5000);
+  const util::Deadline deadline = util::Deadline::in_ms(5000);
 
   // Stray 1: connects and dies without a word (a run torn down elsewhere).
   Fd stray_eof = connect_retry(port, deadline, &err);
@@ -226,7 +227,7 @@ TEST(Handshake, AcceptPredecessorDropsStrayConnections) {
   ASSERT_TRUE(pred.valid()) << err;
   // Returned the real predecessor's connection: a pulse sent there lands.
   const unsigned char pulse = kPulseByte;
-  ASSERT_TRUE(send_all(real.get(), &pulse, 1, deadline, &err)) << err;
+  ASSERT_TRUE(util::send_all(real.get(), &pulse, 1, deadline, &err)) << err;
   unsigned char got = 0;
   ASSERT_EQ(::read(pred.get(), &got, 1), 1);
   EXPECT_EQ(got, kPulseByte);
@@ -238,7 +239,8 @@ TEST(Handshake, AcceptPredecessorGivesUpAtDeadline) {
   Fd listener = listen_on(0, &port, &err);
   ASSERT_TRUE(listener.valid()) << err;
   const Fd pred =
-      accept_predecessor(listener.get(), 0, 1, Deadline::in_ms(100), &err);
+      accept_predecessor(listener.get(), 0, 1, util::Deadline::in_ms(100),
+                         &err);
   EXPECT_FALSE(pred.valid());
   EXPECT_NE(err.find("accept predecessor"), std::string::npos);
 }
@@ -253,7 +255,7 @@ struct Bench {
   explicit Bench(std::uint64_t timeout_ms = 2000, bool flip = false)
       : ep(std::move(succ_pair.a), std::move(pred_pair.a),
            std::move(ctl_pair.a), flip ? sim::Port::p0 : sim::Port::p1,
-           Deadline::in_ms(timeout_ms)) {}
+           util::Deadline::in_ms(timeout_ms)) {}
   int succ() const { return succ_pair.b.get(); }
   int pred() const { return pred_pair.b.get(); }
   int ctl() const { return ctl_pair.b.get(); }
@@ -265,8 +267,8 @@ TEST(PulseEndpoint, CoalescedBurstArrivesAsIndividualPulses) {
   // mapping they surface on local Port1 (the successor-facing label).
   std::vector<unsigned char> burst(100, kPulseByte);
   std::string err;
-  ASSERT_TRUE(send_all(bench.succ(), burst.data(), burst.size(),
-                       Deadline::in_ms(2000), &err));
+  ASSERT_TRUE(util::send_all(bench.succ(), burst.data(), burst.size(),
+                             util::Deadline::in_ms(2000), &err));
   ASSERT_TRUE(bench.ep.wait());
   int got = 0;
   while (bench.ep.recv(sim::Port::p1)) ++got;
@@ -308,7 +310,8 @@ TEST(PulseEndpoint, FlippedLabelMapsEdgesSymmetrically) {
   EXPECT_EQ(::read(bench.succ(), rx, sizeof(rx)), 1);
   const unsigned char one = kPulseByte;
   std::string err;
-  ASSERT_TRUE(send_all(bench.pred(), &one, 1, Deadline::in_ms(2000), &err));
+  ASSERT_TRUE(util::send_all(bench.pred(), &one, 1,
+                             util::Deadline::in_ms(2000), &err));
   ASSERT_TRUE(bench.ep.wait());
   EXPECT_TRUE(bench.ep.recv(sim::Port::p1));  // predecessor = opposite label
 }
@@ -317,9 +320,8 @@ TEST(PulseEndpoint, StopFrameEndsWaitWithFalse) {
   Bench bench;
   const auto stop = encode_ctl(Ctl::stop, {});
   std::string err;
-  ASSERT_TRUE(
-      send_all(bench.ctl(), stop.data(), stop.size(), Deadline::in_ms(2000),
-               &err));
+  ASSERT_TRUE(util::send_all(bench.ctl(), stop.data(), stop.size(),
+                             util::Deadline::in_ms(2000), &err));
   EXPECT_FALSE(bench.ep.wait());
   EXPECT_TRUE(bench.ep.stopped());
   EXPECT_TRUE(bench.ep.error().empty()) << bench.ep.error();
@@ -352,10 +354,11 @@ TEST(PulseEndpoint, ProbeAckDeferredUntilQueueDrains) {
   // probe only after the pulse is consumed.
   const unsigned char one = kPulseByte;
   std::string err;
-  ASSERT_TRUE(send_all(bench.pred(), &one, 1, Deadline::in_ms(2000), &err));
+  ASSERT_TRUE(util::send_all(bench.pred(), &one, 1,
+                             util::Deadline::in_ms(2000), &err));
   const auto probe = encode_ctl(Ctl::probe, {7});
-  ASSERT_TRUE(send_all(bench.ctl(), probe.data(), probe.size(),
-                       Deadline::in_ms(2000), &err));
+  ASSERT_TRUE(util::send_all(bench.ctl(), probe.data(), probe.size(),
+                             util::Deadline::in_ms(2000), &err));
   ASSERT_TRUE(bench.ep.wait());  // pulse pending: returns true, no ack yet
   EXPECT_EQ(bench.ep.counters().probe_acks, 0u);
   // The predecessor edge carries the opposite label of the successor edge
@@ -397,7 +400,7 @@ TEST(Connect, RetryGivesUpAtDeadlineOnRefusal) {
   Fd guard;
   const std::uint16_t port = refusing_port(guard);
   std::string err;
-  Fd fd = connect_retry(port, Deadline::in_ms(150), &err);
+  Fd fd = connect_retry(port, util::Deadline::in_ms(150), &err);
   EXPECT_FALSE(fd.valid());
   EXPECT_NE(err.find("refused until deadline"), std::string::npos);
 }
@@ -407,7 +410,7 @@ TEST(Connect, RetrySucceedsOnceListenerExists) {
   std::string err;
   Fd listener = listen_on(0, &port, &err);
   ASSERT_TRUE(listener.valid()) << err;
-  Fd fd = connect_retry(port, Deadline::in_ms(2000), &err);
+  Fd fd = connect_retry(port, util::Deadline::in_ms(2000), &err);
   EXPECT_TRUE(fd.valid()) << err;
 }
 
@@ -416,7 +419,7 @@ TEST(Connect, AcceptDeadlineExpires) {
   std::string err;
   Fd listener = listen_on(0, &port, &err);
   ASSERT_TRUE(listener.valid()) << err;
-  Fd fd = accept_one(listener.get(), Deadline::in_ms(100), &err);
+  Fd fd = accept_one(listener.get(), util::Deadline::in_ms(100), &err);
   EXPECT_FALSE(fd.valid());
   EXPECT_NE(err.find("deadline"), std::string::npos);
 }

@@ -276,5 +276,34 @@ TEST(ObservedRun, Alg2TraceRespectsTheorem1Bound) {
   EXPECT_EQ(chrome.find("deliver (unmatched)"), std::string::npos);
 }
 
+// Attach order must not matter: a trace attached after the instrumentation
+// chains its send observer instead of replacing the instrumentation's.
+TEST(ObservedRun, TraceAttachedAfterInstrumentationKeepsItsSendCounts) {
+  constexpr std::size_t n = 5;
+  const auto ids = util::shuffled(util::dense_ids(n), 11);
+  std::uint64_t id_max = 0;
+  for (const auto id : ids) id_max = std::max(id_max, id);
+
+  auto net = sim::PulseNetwork::ring(n);
+  for (sim::NodeId v = 0; v < n; ++v) {
+    net.set_automaton(v, std::make_unique<co::Alg2Terminating>(ids[v]));
+  }
+  sim::RunOptions opts;
+  Registry metrics;
+  PulseNetworkInstrumentation instr(metrics, ObsOptions{.enabled = true});
+  instr.attach(net, opts);
+  sim::TraceRecorder trace;
+  trace.attach(net, opts);
+  sim::RandomScheduler scheduler(23);
+  const auto report = net.run(scheduler, opts);
+  instr.finish(net);
+  ASSERT_TRUE(report.quiescent && report.all_terminated);
+
+  const std::uint64_t traced = trace.count(Kind::send);
+  EXPECT_EQ(traced, co::theorem1_pulses(n, id_max));
+  EXPECT_EQ(metrics.counter("net.sends").value(), traced);
+  EXPECT_EQ(metrics.counter("net.deliveries").value(), traced);
+}
+
 }  // namespace
 }  // namespace colex::obs

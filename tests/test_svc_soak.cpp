@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -339,6 +340,30 @@ TEST(RunSoak, MaxElectionsStopsTheRunEarly) {
   // Each shard overshoots by at most its in-flight election.
   EXPECT_LE(report.started, 40u + report.shards_used);
   EXPECT_LT(report.wall_seconds, 25.0);
+}
+
+TEST(RunSoak, HugeDurationSaturatesInsteadOfEndingAtOnce) {
+  // duration_cast of 1e300 s overflows; the deadline must saturate (run
+  // until max_elections), not land in the past and stop at 0 elections.
+  svc::SoakOptions options;
+  options.duration_seconds = 1e300;
+  options.rings = 4;
+  options.shards = 1;
+  options.seed = 9;
+  options.max_elections = 20;
+  const svc::SoakReport report = svc::run_soak(options);
+  EXPECT_TRUE(report.ok()) << report.to_json();
+  EXPECT_EQ(report.completed, 20u) << report.to_json();
+}
+
+TEST(RunSoak, RejectsANonFiniteDuration) {
+  svc::SoakOptions options;
+  options.max_elections = 1;
+  for (const double d : {std::numeric_limits<double>::infinity(),
+                         std::numeric_limits<double>::quiet_NaN(), -1.0}) {
+    options.duration_seconds = d;
+    EXPECT_THROW(svc::run_soak(options), util::ContractViolation) << d;
+  }
 }
 
 }  // namespace

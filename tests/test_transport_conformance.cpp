@@ -231,7 +231,7 @@ TEST(TransportPortContract, ShutdownIsIdempotent) {
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, ring), 0);
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, ctl), 0);
   net::PulseEndpoint ep(net::Fd{ring[0]}, net::Fd{ring[1]}, net::Fd{ctl[0]},
-                        sim::Port::p1, net::Deadline::in_ms(1000));
+                        sim::Port::p1, util::Deadline::in_ms(1000));
   net::EndpointIo io(ep);
   io.shutdown();
   io.shutdown();

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "util/contracts.hpp"
+#include "util/io.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -302,6 +303,19 @@ TEST(JsonReader, KeyedReadersRejectWhatTheyCannotRepresent) {
   std::string str;
   EXPECT_THROW(json::find_string("{\"a\":\"open}", "a", str),
                ContractViolation);
+}
+
+TEST(Deadline, HugeTimeoutsSaturateInsteadOfWrapping) {
+  // ms * 10^6 overflows int64 past ~9.2e12 ms; such a deadline must never
+  // expire rather than wrap into the past.
+  for (const std::uint64_t ms : {std::numeric_limits<std::uint64_t>::max(),
+                                 std::uint64_t{9'300'000'000'000},
+                                 std::uint64_t{1} << 62}) {
+    const Deadline d = Deadline::in_ms(ms);
+    EXPECT_FALSE(d.expired()) << ms;
+    EXPECT_EQ(d.remaining_ms(250), 250) << ms;
+  }
+  EXPECT_TRUE(Deadline::in_ms(0).expired());
 }
 
 }  // namespace

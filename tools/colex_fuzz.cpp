@@ -6,29 +6,12 @@
 //                                       verify the recorded verdict recurs
 //   colex-fuzz --replay <repro.jsonl>   alias for `replay`
 //
-// run options:
-//   --seeds N           cases to run (default 100)
-//   --seed-start S      first seed (default 1)
-//   --algs a,b,...      restrict algorithms (alg1,alg2,alg3_doubled,
-//                       alg3_improved,alg4); default all
-//   --min-n N --max-n N ring-size range (defaults 1..6)
-//   --max-id M          ID cap (default 12)
-//   --fault-fraction F  fraction of cases with a fault plan (default 0)
-//   --max-events N      per-case livelock guard (default 50000)
-//   --planted           enable the planted off-by-one bound property
-//   --no-shrink         keep the raw counterexample
-//   --max-failures K    stop after K counterexamples (default 1; 0 = all)
-//   --repro-out FILE    write the minimal counterexample as colex-repro-v1
-//   --trace-out FILE    write the minimal counterexample's trace as
-//                       colex-trace-v1 (loadable by colex-inspect)
-//   --json              machine-readable campaign summary on stdout
-//
-// Exit status: run -> 0 no counterexample, 1 counterexample found, 2 usage.
-// replay -> 0 recorded verdict reproduced exactly, 1 diverged, 2 usage/load
-// error. "Reproduced" means check_case reports the same failed property the
-// file recorded (or passes, for a repro of a passing case).
+// Exit status (DESIGN.md §15): run -> 0 no counterexample, 1 counterexample
+// found, 2 usage. replay -> 0 recorded verdict reproduced exactly, 1
+// diverged, 2 usage/load error. "Reproduced" means check_case reports the
+// same failed property the file recorded (or passes, for a repro of a
+// passing case).
 #include <cstdint>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -37,38 +20,12 @@
 #include "obs/export.hpp"
 #include "qa/fuzzer.hpp"
 #include "qa/repro.hpp"
-#include "util/json.hpp"
+#include "util/cli.hpp"
 
 namespace {
 
 using namespace colex;
-using util::parse_u64;
-
-int usage() {
-  std::cerr << "usage:\n"
-               "  colex-fuzz run [--seeds N] [--seed-start S] [--algs a,b]\n"
-               "             [--min-n N] [--max-n N] [--max-id M]\n"
-               "             [--fault-fraction F] [--max-events N]\n"
-               "             [--planted] [--no-shrink] [--max-failures K]\n"
-               "             [--repro-out FILE] [--trace-out FILE] [--json]\n"
-               "  colex-fuzz replay <repro.jsonl> [--trace-out FILE]\n";
-  return 2;
-}
-
-bool parse_algs(const std::string& s, std::vector<qa::Algorithm>& out) {
-  std::size_t begin = 0;
-  while (begin <= s.size()) {
-    std::size_t comma = s.find(',', begin);
-    if (comma == std::string::npos) comma = s.size();
-    qa::Algorithm a{};
-    if (!qa::algorithm_from_string(s.substr(begin, comma - begin), a)) {
-      return false;
-    }
-    out.push_back(a);
-    begin = comma + 1;
-  }
-  return !out.empty();
-}
+namespace cli = util::cli;
 
 bool write_trace_file(const std::string& path, const qa::FuzzCase& c,
                       const std::vector<sim::TraceEvent>& trace) {
@@ -91,64 +48,8 @@ void print_case(std::ostream& os, const char* label, const qa::FuzzCase& c) {
      << (c.clean() ? "none" : "plan") << "\n";
 }
 
-int cmd_run(const std::vector<std::string>& args) {
-  qa::CampaignOptions options;
-  options.cases = 100;
-  std::string repro_out;
-  std::string trace_out;
-  bool json = false;
-
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& a = args[i];
-    const bool has_value = i + 1 < args.size();
-    std::uint64_t u = 0;
-    if (a == "--planted") {
-      options.properties.planted_bound_bug = true;
-    } else if (a == "--no-shrink") {
-      options.shrink = false;
-    } else if (a == "--json") {
-      json = true;
-    } else if (a == "--seeds" && has_value && parse_u64(args[++i], u)) {
-      options.cases = static_cast<std::size_t>(u);
-    } else if (a == "--seed-start" && has_value && parse_u64(args[++i], u)) {
-      options.seed_start = u;
-    } else if (a == "--min-n" && has_value && parse_u64(args[++i], u)) {
-      options.generator.min_n = static_cast<std::size_t>(u);
-    } else if (a == "--max-n" && has_value && parse_u64(args[++i], u)) {
-      options.generator.max_n = static_cast<std::size_t>(u);
-    } else if (a == "--max-id" && has_value && parse_u64(args[++i], u)) {
-      options.generator.max_id = u;
-    } else if (a == "--max-events" && has_value && parse_u64(args[++i], u)) {
-      options.generator.max_events = u;
-    } else if (a == "--max-failures" && has_value && parse_u64(args[++i], u)) {
-      options.max_failures = static_cast<std::size_t>(u);
-    } else if (a == "--algs" && has_value) {
-      if (!parse_algs(args[++i], options.generator.algorithms)) {
-        std::cerr << "colex-fuzz: bad --algs list\n";
-        return 2;
-      }
-    } else if (a == "--fault-fraction" && has_value) {
-      char* end = nullptr;
-      options.generator.fault_fraction = std::strtod(args[++i].c_str(), &end);
-      if (end == args[i].c_str() || options.generator.fault_fraction < 0.0 ||
-          options.generator.fault_fraction > 1.0) {
-        std::cerr << "colex-fuzz: bad --fault-fraction\n";
-        return 2;
-      }
-    } else if (a == "--repro-out" && has_value) {
-      repro_out = args[++i];
-    } else if (a == "--trace-out" && has_value) {
-      trace_out = args[++i];
-    } else {
-      return usage();
-    }
-  }
-  if (options.generator.min_n == 0 ||
-      options.generator.min_n > options.generator.max_n) {
-    std::cerr << "colex-fuzz: bad ring-size range\n";
-    return 2;
-  }
-
+int cmd_run(const qa::CampaignOptions& options, const std::string& repro_out,
+            const std::string& trace_out, bool json) {
   const qa::CampaignReport report = qa::run_campaign(options);
 
   if (json) {
@@ -237,21 +138,61 @@ int cmd_replay(const std::string& path, const std::string& trace_out) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::vector<std::string> args(argv + 1, argv + argc);
-  if (args.empty()) return usage();
-
-  if (args[0] == "run") {
-    return cmd_run({args.begin() + 1, args.end()});
-  }
-  if (args[0] == "replay" || args[0] == "--replay") {
-    if (args.size() < 2) return usage();
-    std::string trace_out;
-    if (args.size() == 4 && args[2] == "--trace-out") {
-      trace_out = args[3];
-    } else if (args.size() != 2) {
-      return usage();
-    }
-    return cmd_replay(args[1], trace_out);
-  }
-  return usage();
+  qa::CampaignOptions options;
+  options.cases = 100;
+  qa::GeneratorOptions& gen = options.generator;
+  std::string repro_out;
+  std::string trace_out;
+  std::string repro_in;
+  bool json = false;
+  const cli::Flag trace_out_flag =
+      cli::str("--trace-out", "FILE", trace_out,
+               "write the counterexample's trace as colex-trace-v1");
+  auto add_alg = [&gen](std::string_view name) {
+    gen.algorithms.emplace_back();
+    return qa::algorithm_from_string(std::string(name), gen.algorithms.back());
+  };
+  const std::vector<cli::Command> commands = {
+      {.name = "run",
+       .flags =
+           {cli::u64("--seeds", "N", options.cases, "cases to run"),
+            cli::u64("--seed-start", "S", options.seed_start, "first seed"),
+            cli::Flag{"--algs", "a,b",
+                        "alg1, alg2, alg3-doubled, alg3-improved, alg4 "
+                        "(default all)",
+                        [&](std::string_view list) {
+                          gen.algorithms.clear();
+                          return cli::split_list(list, add_alg);
+                        }},
+            cli::u64("--min-n", "N", gen.min_n, "smallest ring size", 1),
+            cli::u64("--max-n", "N", gen.max_n, "largest ring size", 1),
+            cli::u64("--max-id", "M", gen.max_id, "ID cap"),
+            cli::f64("--fault-fraction", "F", gen.fault_fraction,
+                     "share of cases with a fault plan", 0, 1),
+            cli::u64("--max-events", "N", gen.max_events,
+                     "per-case livelock guard"),
+            cli::flag("--planted", options.properties.planted_bound_bug,
+                      "enable the planted off-by-one bound property"),
+            cli::Flag{"--no-shrink", "", "keep the raw counterexample",
+                        [&options](std::string_view) {
+                          options.shrink = false;
+                          return true;
+                        }},
+            cli::u64("--max-failures", "K", options.max_failures,
+                     "stop after K counterexamples; 0 = all"),
+            cli::str("--repro-out", "FILE", repro_out,
+                     "write the minimal counterexample as colex-repro-v1"),
+            trace_out_flag,
+            cli::flag("--json", json, "print a JSON campaign summary")},
+       .check = [&gen] {
+         return gen.min_n <= gen.max_n ? "" : "--min-n exceeds --max-n";
+       },
+       .body = [&] { return cmd_run(options, repro_out, trace_out, json); }},
+      {.name = "replay",
+       .alias = "--replay",
+       .flags = {trace_out_flag},
+       .positionals = {{"repro.jsonl", &repro_in}},
+       .body = [&] { return cmd_replay(repro_in, trace_out); }},
+  };
+  return cli::run(commands, argc, argv);
 }

@@ -7,11 +7,11 @@
 //   colex-inspect diff    <a.jsonl> <b.jsonl>    structural trace comparison
 //   colex-inspect metrics <trace.jsonl>          Prometheus text exposition
 //
-// Exit status: 0 clean, 1 check failed / traces differ, 2 usage or load
-// error. `check` prints one "theorem1-bound: ..." line that ci.sh greps.
-// `metrics` renders the embedded registry snapshot through the same
-// encoder the live /metrics endpoint uses, so a recorded snapshot and a
-// live scrape of identical registries are byte-comparable.
+// Exit status (DESIGN.md §15): 0 clean, 1 check failed / traces differ, 2
+// usage or load error. `check` prints one "theorem1-bound: ..." line that
+// ci.sh greps. `metrics` renders the embedded registry snapshot through the
+// same encoder the live /metrics endpoint uses, so a recorded snapshot and
+// a live scrape of identical registries are byte-comparable.
 #include <array>
 #include <cstdint>
 #include <fstream>
@@ -22,6 +22,7 @@
 #include "obs/export.hpp"
 #include "obs/serve.hpp"
 #include "sim/trace.hpp"
+#include "util/cli.hpp"
 #include "util/contracts.hpp"
 
 namespace {
@@ -220,17 +221,6 @@ int cmd_metrics(const LoadedTrace& trace) {
   return 0;
 }
 
-int usage() {
-  std::cerr
-      << "usage:\n"
-         "  colex-inspect summary <trace.jsonl>\n"
-         "  colex-inspect check   <trace.jsonl>\n"
-         "  colex-inspect chrome  <trace.jsonl> <out.json>\n"
-         "  colex-inspect diff    <a.jsonl> <b.jsonl>\n"
-         "  colex-inspect metrics <trace.jsonl>\n";
-  return 2;
-}
-
 LoadedTrace load_or_exit(const std::string& path) {
   try {
     return colex::obs::load_jsonl_file(path);
@@ -244,22 +234,27 @@ LoadedTrace load_or_exit(const std::string& path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 3) return usage();
-  const std::string cmd = argv[1];
-  if (cmd == "summary" && argc == 3) {
-    return cmd_summary(load_or_exit(argv[2]));
-  }
-  if (cmd == "check" && argc == 3) {
-    return cmd_check(load_or_exit(argv[2]));
-  }
-  if (cmd == "chrome" && argc == 4) {
-    return cmd_chrome(load_or_exit(argv[2]), argv[3]);
-  }
-  if (cmd == "diff" && argc == 4) {
-    return cmd_diff(load_or_exit(argv[2]), load_or_exit(argv[3]));
-  }
-  if (cmd == "metrics" && argc == 3) {
-    return cmd_metrics(load_or_exit(argv[2]));
-  }
-  return usage();
+  namespace cli = colex::util::cli;
+  std::string trace;
+  std::string other;  // chrome: the output file; diff: the second trace
+  const std::vector<cli::Command> commands = {
+      {.name = "summary",
+       .positionals = {{"trace.jsonl", &trace}},
+       .body = [&] { return cmd_summary(load_or_exit(trace)); }},
+      {.name = "check",
+       .positionals = {{"trace.jsonl", &trace}},
+       .body = [&] { return cmd_check(load_or_exit(trace)); }},
+      {.name = "chrome",
+       .positionals = {{"trace.jsonl", &trace}, {"out.json", &other}},
+       .body = [&] { return cmd_chrome(load_or_exit(trace), other); }},
+      {.name = "diff",
+       .positionals = {{"a.jsonl", &trace}, {"b.jsonl", &other}},
+       .body = [&] {
+         return cmd_diff(load_or_exit(trace), load_or_exit(other));
+       }},
+      {.name = "metrics",
+       .positionals = {{"trace.jsonl", &trace}},
+       .body = [&] { return cmd_metrics(load_or_exit(trace)); }},
+  };
+  return cli::run(commands, argc, argv);
 }

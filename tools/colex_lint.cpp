@@ -5,74 +5,47 @@
 //   colex-lint --self-test <path>...           verify rules against planted
 //                                              fixtures (tests/lint_fixtures)
 //   colex-lint --list-rules                    print the rule catalog
-//                                              (id, pass, summary)
 //
 // Suppressions (justify them — reviewers read these):
 //   // colex-lint: allow(C001) <why this is a false positive>
 //   // colex-lint: allow-file(D002) <why, for the whole file>
 //
-// Exit status mirrors colex-fuzz: 0 clean, 1 findings (or self-test
+// Exit status (DESIGN.md §15): 0 clean, 1 findings (or self-test
 // mismatch), 2 usage / I-O error.
-#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "lint/driver.hpp"
+#include "util/cli.hpp"
 
-namespace {
-
-int usage() {
-  std::cerr << "usage:\n"
-               "  colex-lint [--json] [--jobs N] <path>...\n"
-               "  colex-lint --self-test <path>...\n"
-               "  colex-lint --list-rules\n";
-  return 2;
-}
-
-}  // namespace
+namespace cli = colex::util::cli;
 
 int main(int argc, char** argv) {
   bool json = false;
   bool self_test = false;
+  bool list_rules = false;
   std::size_t jobs = 4;  // findings are identical for any worker count
   std::vector<std::string> paths;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--json") {
-      json = true;
-    } else if (arg == "--self-test") {
-      self_test = true;
-    } else if (arg == "--jobs") {
-      if (i + 1 >= argc) {
-        std::cerr << "colex-lint: --jobs needs a worker count\n";
-        return usage();
-      }
-      const long n = std::strtol(argv[++i], nullptr, 10);
-      if (n < 1 || n > 256) {
-        std::cerr << "colex-lint: --jobs wants 1..256, got '" << argv[i]
-                  << "'\n";
-        return usage();
-      }
-      jobs = static_cast<std::size_t>(n);
-    } else if (arg == "--list-rules") {
-      for (const auto& rule : colex::lint::rule_catalog()) {
-        std::cout << rule.id << "  " << rule.pass
-                  << std::string(rule.pass.size() < 12
-                                     ? 12 - rule.pass.size()
-                                     : 1,
-                                 ' ')
-                  << rule.summary << "\n";
-      }
-      return 0;
-    } else if (!arg.empty() && arg[0] == '-') {
-      std::cerr << "colex-lint: unknown option '" << arg << "'\n";
-      return usage();
-    } else {
-      paths.push_back(arg);
+  const cli::Command cmd{
+      .flags = {cli::flag("--json", json, "machine-readable findings"),
+                cli::u64("--jobs", "N", jobs, "parallel file scans", 1, 256),
+                cli::flag("--self-test", self_test,
+                          "check the rules against planted fixtures"),
+                cli::flag("--list-rules", list_rules, "print the catalog")},
+      .positionals = {{"path", nullptr, &paths}},
+      .check = [&] { return paths.empty() && !list_rules ? "no paths" : ""; }};
+  if (cli::parse_argv({cmd}, argc, argv) == nullptr) return cli::kUsageExit;
+
+  if (list_rules) {
+    for (const auto& rule : colex::lint::rule_catalog()) {
+      std::cout << rule.id << "  " << rule.pass
+                << std::string(
+                       rule.pass.size() < 12 ? 12 - rule.pass.size() : 1, ' ')
+                << rule.summary << "\n";
     }
+    return 0;
   }
-  if (paths.empty()) return usage();
 
   if (self_test) {
     const auto result = colex::lint::run_self_test(paths);

@@ -1,11 +1,12 @@
 // colex-ring: run a content-oblivious election on a real socket ring, one
 // OS process per node.
 //
-//   colex-ring run   --ids 6,11,3,9,1,7 [--alg A] [--flips 0,1,0,0,1,0]
-//                    [--base-port P] [--timeout-ms N] [--json]
-//   colex-ring coord --ring-size N [--port P] [--timeout-ms N] [--json]
+//   colex-ring run   --ids 6,11,3,9,1,7 [options]
+//   colex-ring coord --ring-size N [options]
 //   colex-ring node  --index I --ring-size N --id ID --coordinator-port P
-//                    [--alg A] [--flip] [--data-port P] [--timeout-ms N]
+//                    [options]
+//
+// (A malformed invocation prints the options of its command.)
 //
 // `run` is the one-command demo: it forks one child per node, each child
 // joins the coordinator's control plane, dials its ring neighbours over
@@ -18,12 +19,12 @@
 // "coordinator listening on PORT" — then launch one `node` per index
 // against that port.
 //
-// Algorithms (--alg): alg1 | alg2 (default) | alg3-doubled |
-// alg3-improved. The alg3 variants accept --flips/--flip: ports mounted
-// against the ring orientation, which the algorithm must overcome.
+// The alg3 variants accept --flips/--flip: ports mounted against the ring
+// orientation, which the algorithm must overcome.
 //
-// Exit status: 0 the election completed (coord/run: with a unique
-// leader); 1 it failed or stalled; 2 usage error.
+// Exit status (DESIGN.md §15): 0 the election completed (coord/run: with a
+// unique leader); 1 it failed or stalled; 2 usage error.
+#include <algorithm>
 #include <cstdint>
 #include <iostream>
 #include <string>
@@ -34,54 +35,12 @@
 #include "net/node.hpp"
 #include "net/run.hpp"
 #include "runtime/blocking_algs.hpp"
-#include "util/json.hpp"
+#include "util/cli.hpp"
 
 namespace {
 
 using namespace colex;
-using util::parse_u64;
-
-int usage() {
-  std::cerr
-      << "usage:\n"
-         "  colex-ring run   --ids 6,11,3,9,1,7 [--alg A] [--flips 0,1,...]\n"
-         "                   [--base-port P] [--timeout-ms N] [--json]\n"
-         "  colex-ring coord --ring-size N [--port P] [--timeout-ms N]\n"
-         "                   [--json]\n"
-         "  colex-ring node  --index I --ring-size N --id ID\n"
-         "                   --coordinator-port P [--alg A] [--flip]\n"
-         "                   [--data-port P] [--timeout-ms N]\n"
-         "  (A: alg1 | alg2 | alg3-doubled | alg3-improved)\n";
-  return 2;
-}
-
-bool parse_port(const std::string& s, std::uint16_t& out) {
-  std::uint64_t v = 0;
-  if (!parse_u64(s, v) || v > 0xffff) return false;
-  out = static_cast<std::uint16_t>(v);
-  return true;
-}
-
-/// Comma-separated u64 list ("6,11,3"); empty string = empty list.
-bool parse_list(const std::string& s, std::vector<std::uint64_t>& out) {
-  out.clear();
-  std::string item;
-  for (const char ch : s) {
-    if (ch == ',') {
-      std::uint64_t v = 0;
-      if (!parse_u64(item, v)) return false;
-      out.push_back(v);
-      item.clear();
-    } else {
-      item.push_back(ch);
-    }
-  }
-  if (item.empty()) return false;
-  std::uint64_t v = 0;
-  if (!parse_u64(item, v)) return false;
-  out.push_back(v);
-  return true;
-}
+namespace cli = util::cli;
 
 void print_json_run(const net::MultiProcResult& r, std::size_t n,
                     rt::ThreadAlg alg) {
@@ -105,41 +64,9 @@ void print_json_run(const net::MultiProcResult& r, std::size_t n,
   std::cout << "]}\n";
 }
 
-int cmd_run(const std::vector<std::string>& args) {
-  std::vector<std::uint64_t> ids;
-  std::vector<std::uint64_t> flip_bits;
-  rt::ThreadAlg alg = rt::ThreadAlg::alg2;
-  net::MultiProcOptions opt;
-  bool json = false;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& a = args[i];
-    const bool has_next = i + 1 < args.size();
-    if (a == "--ids" && has_next) {
-      if (!parse_list(args[++i], ids)) return usage();
-    } else if (a == "--flips" && has_next) {
-      if (!parse_list(args[++i], flip_bits)) return usage();
-    } else if (a == "--alg" && has_next) {
-      const auto parsed = rt::from_string(args[++i]);
-      if (!parsed) return usage();
-      alg = *parsed;
-    } else if (a == "--base-port" && has_next) {
-      if (!parse_port(args[++i], opt.base_port)) return usage();
-    } else if (a == "--timeout-ms" && has_next) {
-      if (!parse_u64(args[++i], opt.timeout_ms)) return usage();
-    } else if (a == "--json") {
-      json = true;
-    } else {
-      return usage();
-    }
-  }
-  if (ids.empty()) return usage();
-  if (!flip_bits.empty() && flip_bits.size() != ids.size()) return usage();
-  std::vector<bool> flips;
-  for (const std::uint64_t b : flip_bits) {
-    if (b > 1) return usage();
-    flips.push_back(b == 1);
-  }
-
+int cmd_run(const std::vector<std::uint64_t>& ids,
+            const std::vector<bool>& flips, rt::ThreadAlg alg,
+            const net::MultiProcOptions& opt, bool json) {
   const net::MultiProcResult r = net::run_multiprocess(ids, flips, alg, opt);
   if (json) {
     print_json_run(r, ids.size(), alg);
@@ -156,28 +83,7 @@ int cmd_run(const std::vector<std::string>& args) {
   return r.completed && r.leader_count == 1 ? 0 : 1;
 }
 
-int cmd_coord(const std::vector<std::string>& args) {
-  net::CoordinatorOptions opt;
-  std::uint64_t ring_size = 0;
-  bool json = false;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& a = args[i];
-    const bool has_next = i + 1 < args.size();
-    if (a == "--ring-size" && has_next) {
-      if (!parse_u64(args[++i], ring_size)) return usage();
-    } else if (a == "--port" && has_next) {
-      if (!parse_port(args[++i], opt.port)) return usage();
-    } else if (a == "--timeout-ms" && has_next) {
-      if (!parse_u64(args[++i], opt.timeout_ms)) return usage();
-    } else if (a == "--json") {
-      json = true;
-    } else {
-      return usage();
-    }
-  }
-  if (ring_size == 0 || ring_size > 0xffffffffULL) return usage();
-  opt.ring_size = static_cast<std::uint32_t>(ring_size);
-
+int cmd_coord(const net::CoordinatorOptions& opt, bool json) {
   net::Coordinator coord(opt);
   if (!coord.ok()) {
     std::cerr << "coordinator: " << coord.init_error() << "\n";
@@ -218,47 +124,7 @@ int cmd_coord(const std::vector<std::string>& args) {
   return leaders == 1 ? 0 : 1;
 }
 
-int cmd_node(const std::vector<std::string>& args) {
-  net::RingNodeConfig cfg;
-  std::uint64_t index = 0;
-  std::uint64_t ring_size = 0;
-  bool have_index = false;
-  bool have_id = false;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& a = args[i];
-    const bool has_next = i + 1 < args.size();
-    if (a == "--index" && has_next) {
-      if (!parse_u64(args[++i], index)) return usage();
-      have_index = true;
-    } else if (a == "--ring-size" && has_next) {
-      if (!parse_u64(args[++i], ring_size)) return usage();
-    } else if (a == "--id" && has_next) {
-      if (!parse_u64(args[++i], cfg.id)) return usage();
-      have_id = true;
-    } else if (a == "--alg" && has_next) {
-      const auto parsed = rt::from_string(args[++i]);
-      if (!parsed) return usage();
-      cfg.alg = *parsed;
-    } else if (a == "--coordinator-port" && has_next) {
-      if (!parse_port(args[++i], cfg.coordinator_port)) return usage();
-    } else if (a == "--data-port" && has_next) {
-      if (!parse_port(args[++i], cfg.data_port)) return usage();
-    } else if (a == "--timeout-ms" && has_next) {
-      if (!parse_u64(args[++i], cfg.timeout_ms)) return usage();
-    } else if (a == "--flip") {
-      cfg.flip = true;
-    } else {
-      return usage();
-    }
-  }
-  if (!have_index || !have_id || ring_size == 0 ||
-      ring_size > 0xffffffffULL || index >= ring_size ||
-      cfg.coordinator_port == 0) {
-    return usage();
-  }
-  cfg.index = static_cast<std::uint32_t>(index);
-  cfg.ring_size = static_cast<std::uint32_t>(ring_size);
-
+int cmd_node(const net::RingNodeConfig& cfg) {
   const net::NodeResult r = net::run_ring_node(cfg);
   if (!r.ok) {
     std::cerr << "node " << cfg.index << ": " << r.error << "\n";
@@ -274,11 +140,70 @@ int cmd_node(const std::vector<std::string>& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) return usage();
-  const std::string cmd = argv[1];
-  std::vector<std::string> args(argv + 2, argv + argc);
-  if (cmd == "run") return cmd_run(args);
-  if (cmd == "coord") return cmd_coord(args);
-  if (cmd == "node") return cmd_node(args);
-  return usage();
+  std::vector<std::uint64_t> ids;
+  std::vector<std::uint64_t> flips;
+  bool json = false;
+  net::MultiProcOptions run_opt;
+  net::CoordinatorOptions coord_opt;
+  net::RingNodeConfig node;  // also carries the flags run and coord share
+  const cli::Flag alg_flag{
+      "--alg", "A", "alg1 | alg2 | alg3-doubled | alg3-improved (default alg2)",
+      [&node](std::string_view name) {
+        const auto parsed = rt::from_string(name);
+        node.alg = parsed.value_or(node.alg);
+        return parsed.has_value();
+      }};
+  const cli::Flag ring_size_flag =
+      cli::u64("--ring-size", "N", node.ring_size, "ring size", 1).require();
+  const cli::Flag timeout_flag = cli::u64("--timeout-ms", "MS", node.timeout_ms,
+                                          "watchdog on the election");
+  const cli::Flag json_flag = cli::flag("--json", json, "print one JSON line");
+  const std::vector<cli::Command> commands = {
+      {.name = "run",
+       .flags = {cli::u64_list("--ids", "LIST", ids, "one process per ID")
+                     .require(),
+                 alg_flag,
+                 cli::u64_list("--flips", "BITS", flips, "0/1 flip per ID"),
+                 cli::u64("--base-port", "P", run_opt.base_port,
+                          "node v listens on P+v; 0 = ephemeral"),
+                 timeout_flag, json_flag},
+       .check = [&] {
+         return flips.empty() || (flips.size() == ids.size() &&
+                                  std::ranges::max(flips) <= 1)
+                    ? ""
+                    : "--flips needs one 0/1 bit per --ids entry";
+       },
+       .body = [&] {
+         run_opt.timeout_ms = node.timeout_ms;
+         return cmd_run(ids, {flips.begin(), flips.end()}, node.alg, run_opt,
+                        json);
+       }},
+      {.name = "coord",
+       .flags = {ring_size_flag,
+                 cli::u64("--port", "P", coord_opt.port,
+                          "control-plane port; 0 = ephemeral"),
+                 timeout_flag, json_flag},
+       .body = [&] {
+         coord_opt.ring_size = node.ring_size;
+         coord_opt.timeout_ms = node.timeout_ms;
+         return cmd_coord(coord_opt, json);
+       }},
+      {.name = "node",
+       .flags = {cli::u64("--index", "I", node.index, "position").require(),
+                 ring_size_flag,
+                 cli::u64("--id", "ID", node.id, "this node's ID").require(),
+                 cli::u64("--coordinator-port", "P", node.coordinator_port,
+                          "the coordinator's port", 1)
+                     .require(),
+                 alg_flag,
+                 cli::flag("--flip", node.flip, "ports against orientation"),
+                 cli::u64("--data-port", "P", node.data_port,
+                          "data-plane port; 0 = ephemeral"),
+                 timeout_flag},
+       .check = [&node] {
+         return node.index < node.ring_size ? "" : "--index >= --ring-size";
+       },
+       .body = [&node] { return cmd_node(node); }},
+  };
+  return cli::run(commands, argc, argv);
 }

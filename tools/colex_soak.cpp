@@ -1,72 +1,30 @@
 // colex-soak: election-as-a-service soak driver over src/svc.
 //
-//   colex-soak [options]
+//   colex-soak [options]     (a malformed invocation prints every option)
 //
-// options:
-//   --duration S        wall-clock seconds to run (default 10)
-//   --rings N           concurrent ring slots (default 1024)
-//   --shards N          worker threads (default 0 = hardware concurrency)
-//   --seed S            soak seed (default 1)
-//   --churn P           churn profile: calm | steady | storm (default steady)
-//   --min-elections N   keep running past --duration until N finished
-//   --max-elections N   stop early after N finished (0 = duration-driven)
-//   --max-attempts N    supervisor attempt budget per election (default 4)
-//   --clean-after N     attempts >= N run fault-free (default 2)
-//   --backend B         substrate for clean attempts: sim | coro | socket
-//                       (default sim; socket runs them as real loopback
-//                       TCP rings via src/net; coro runs them on the
-//                       coroutine
-//                       executor — faulty attempts always run on sim)
-//   --snapshot FILE     periodically rewrite FILE as a colex-trace-v1
-//                       metrics snapshot (view with `colex-inspect summary`)
-//   --snapshot-every S  snapshot cadence in seconds (default 1)
-//   --serve PORT        serve live Prometheus /metrics (plus /healthz and
-//                       /debug/flight) on 127.0.0.1:PORT for the run's
-//                       duration; 0 picks an ephemeral port. The bound
-//                       port is announced on stderr as
-//                       "serving metrics on 127.0.0.1:PORT". Scrape with
-//                       colex-top or any Prometheus client.
-//   --json              print the one-line machine-readable summary instead
-//                       of the human report
+// --serve announces the bound port on stderr as "serving metrics on
+// 127.0.0.1:PORT" and serves Prometheus /metrics plus /healthz and
+// /debug/flight for the run's duration; scrape it with colex-top or any
+// Prometheus client. --backend picks the substrate for clean attempts;
+// faulty attempts always run on the simulator.
 //
-// Exit status: 0 the service-level gate held (zero safety-violated, zero
-// diverged, zero abandoned; every started election completed within the
-// Theorem 1 pulse bound with a unique max-ID leader); 1 the gate failed;
-// 2 usage error.
+// Exit status (DESIGN.md §15): 0 the service-level gate held (zero
+// safety-violated, zero diverged, zero abandoned; every started election
+// completed within the Theorem 1 pulse bound with a unique max-ID leader);
+// 1 the gate failed; 2 usage error.
 #include <cstdint>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "svc/soak.hpp"
-#include "util/json.hpp"
+#include "util/cli.hpp"
 
 namespace {
 
 using namespace colex;
-using util::parse_u64;
-
-int usage() {
-  std::cerr << "usage:\n"
-               "  colex-soak [--duration S] [--rings N] [--shards N]\n"
-               "             [--seed S] [--churn calm|steady|storm]\n"
-               "             [--min-elections N] [--max-elections N]\n"
-               "             [--max-attempts N] [--clean-after N]\n"
-               "             [--backend sim|coro|socket]\n"
-               "             [--snapshot FILE] [--snapshot-every S]\n"
-               "             [--serve PORT] [--json]\n";
-  return 2;
-}
-
-bool parse_f64(const std::string& s, double& out) {
-  try {
-    std::size_t used = 0;
-    out = std::stod(s, &used);
-    return used == s.size() && out >= 0.0;
-  } catch (...) {
-    return false;
-  }
-}
+namespace cli = util::cli;
 
 void print_human(const svc::SoakReport& r) {
   std::cout << "soak: " << r.rings << " rings on " << r.shards_used
@@ -104,59 +62,47 @@ void print_human(const svc::SoakReport& r) {
 
 int main(int argc, char** argv) {
   svc::SoakOptions options;
+  svc::SupervisorPolicy& policy = options.policy;
+  svc::ChurnPreset churn = svc::ChurnPreset::steady;
   bool json = false;
-
-  const std::vector<std::string> args(argv + 1, argv + argc);
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& a = args[i];
-    const bool has_value = i + 1 < args.size();
-    std::uint64_t u = 0;
-    double f = 0.0;
-    if (a == "--json") {
-      json = true;
-    } else if (a == "--duration" && has_value && parse_f64(args[++i], f)) {
-      options.duration_seconds = f;
-    } else if (a == "--rings" && has_value && parse_u64(args[++i], u) &&
-               u >= 1) {
-      options.rings = static_cast<std::size_t>(u);
-    } else if (a == "--shards" && has_value && parse_u64(args[++i], u)) {
-      options.shards = static_cast<std::size_t>(u);
-    } else if (a == "--seed" && has_value && parse_u64(args[++i], u)) {
-      options.seed = u;
-    } else if (a == "--churn" && has_value) {
-      svc::ChurnPreset preset{};
-      if (!svc::preset_from_string(args[++i], preset)) return usage();
-      options.churn = svc::ChurnProfile::preset(preset);
-    } else if (a == "--min-elections" && has_value && parse_u64(args[++i], u)) {
-      options.min_elections = u;
-    } else if (a == "--max-elections" && has_value && parse_u64(args[++i], u)) {
-      options.max_elections = u;
-    } else if (a == "--max-attempts" && has_value && parse_u64(args[++i], u) &&
-               u >= 1) {
-      options.policy.max_attempts = static_cast<unsigned>(u);
-    } else if (a == "--clean-after" && has_value && parse_u64(args[++i], u)) {
-      options.policy.clean_after_attempts = static_cast<unsigned>(u);
-    } else if (a == "--backend" && has_value) {
-      if (!svc::backend_from_string(args[++i], options.policy.backend)) {
-        return usage();
-      }
-    } else if (a == "--snapshot" && has_value) {
-      options.snapshot_path = args[++i];
-    } else if (a == "--snapshot-every" && has_value &&
-               parse_f64(args[++i], f) && f > 0.0) {
-      options.snapshot_every_seconds = f;
-    } else if (a == "--serve" && has_value && parse_u64(args[++i], u) &&
-               u <= 65535) {
-      options.serve = static_cast<int>(u);
-    } else {
-      return usage();
-    }
-  }
-  if (options.policy.clean_after_attempts >= options.policy.max_attempts) {
-    std::cerr << "colex-soak: --clean-after must be < --max-attempts "
-                 "(the self-healing guarantee needs a clean final rung)\n";
-    return 2;
-  }
+  const double positive = std::numeric_limits<double>::denorm_min();
+  const cli::Command cmd{.flags = {
+      cli::f64("--duration", "S", options.duration_seconds, "seconds", 0),
+      cli::u64("--rings", "N", options.rings, "concurrent ring slots", 1),
+      cli::u64("--shards", "N", options.shards, "threads; 0 = all cores"),
+      cli::u64("--seed", "S", options.seed, "soak seed"),
+      cli::Flag{"--churn", "P", "calm | steady | storm (default steady)",
+                  [&churn](std::string_view v) {
+                    return svc::preset_from_string(std::string(v), churn);
+                  }},
+      cli::u64("--min-elections", "N", options.min_elections,
+               "run past --duration until N finished"),
+      cli::u64("--max-elections", "N", options.max_elections,
+               "stop after N finished; 0 = at --duration"),
+      cli::u64("--max-attempts", "N", policy.max_attempts,
+               "attempt budget per election", 1),
+      cli::u64("--clean-after", "N", policy.clean_after_attempts,
+               "attempts >= N run fault-free"),
+      cli::Flag{"--backend", "B", "sim | coro | socket (default sim)",
+                  [&policy](std::string_view v) {
+                    return svc::backend_from_string(std::string(v),
+                                                    policy.backend);
+                  }},
+      cli::str("--snapshot", "FILE", options.snapshot_path,
+               "keep FILE a colex-trace-v1 metrics snapshot"),
+      cli::f64("--snapshot-every", "S", options.snapshot_every_seconds,
+               "snapshot cadence, seconds", positive),
+      cli::u64("--serve", "PORT", options.serve,
+               "serve /metrics on 127.0.0.1:PORT; 0 = any", 0, 65535),
+      cli::flag("--json", json, "print the one-line JSON summary"),
+  }, .check = [&policy] {
+    return policy.clean_after_attempts < policy.max_attempts
+               ? ""
+               : "--clean-after must be < --max-attempts (the self-healing "
+                 "guarantee needs a clean final rung)";
+  }};
+  if (cli::parse_argv({cmd}, argc, argv) == nullptr) return cli::kUsageExit;
+  options.churn = svc::ChurnProfile::preset(churn);
 
   if (options.serve >= 0) {
     // Announced on stderr (unbuffered relative to the report on stdout) so

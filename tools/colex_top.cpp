@@ -1,25 +1,14 @@
 // colex-top: terminal scraper for the live /metrics endpoint a running
 // soak (colex-soak --serve) or any obs::MetricsServer exposes.
 //
-//   colex-top [--host H] [--port P] [--once] [--raw] [--interval S]
-//             [--path /metrics]
-//
-// options:
-//   --host H      server host (default 127.0.0.1; localhost also accepted)
-//   --port P      server port (required)
-//   --once        scrape once and exit instead of watching
-//   --raw         print the raw exposition body instead of the parsed
-//                 summary (with --once this is a plain curl substitute —
-//                 ci.sh uses it so the container needs no curl)
-//   --interval S  watch-mode refresh cadence in seconds (default 2)
-//   --path P      request path (default /metrics; /debug/flight and
-//                 /healthz are the other endpoints a server exposes)
+//   colex-top --port P [options]   (a malformed invocation prints them all)
 //
 // Watch mode clears the screen per refresh (ANSI home+clear) and shows the
 // headline election/pulse families plus every gauge — enough to see a soak
-// breathe without leaving the terminal. Exit status: 0 on a successful
-// scrape (the last one in watch mode), 1 on transport/HTTP failure, 2 on
-// usage errors.
+// breathe without leaving the terminal. `--once --raw` is a plain curl
+// substitute (ci.sh uses it so the container needs no curl). Exit status
+// (DESIGN.md §15): 0 on a successful scrape (the last one in watch mode),
+// 1 on transport/HTTP failure, 2 on usage errors.
 #include <chrono>
 #include <cstdint>
 #include <iostream>
@@ -29,18 +18,11 @@
 #include <vector>
 
 #include "obs/serve.hpp"
-#include "util/json.hpp"
+#include "util/cli.hpp"
 
 namespace {
 
-using colex::util::parse_u64;
-
-int usage() {
-  std::cerr << "usage:\n"
-               "  colex-top --port P [--host H] [--once] [--raw]\n"
-               "            [--interval S] [--path /metrics]\n";
-  return 2;
-}
+namespace cli = colex::util::cli;
 
 /// One parsed sample line of the exposition: `name{labels} value`.
 struct Sample {
@@ -63,10 +45,6 @@ std::vector<Sample> parse_samples(const std::string& body) {
   return out;
 }
 
-bool starts_with(const std::string& s, const std::string& prefix) {
-  return s.rfind(prefix, 0) == 0;
-}
-
 void print_summary(const std::string& host, std::uint16_t port,
                    const std::string& body) {
   const std::vector<Sample> samples = parse_samples(body);
@@ -74,8 +52,8 @@ void print_summary(const std::string& host, std::uint16_t port,
             << " samples\n\n";
   // Headline counters first: elections and the per-phase pulse series.
   for (const Sample& s : samples) {
-    if (starts_with(s.name, "colex_elections_total") ||
-        starts_with(s.name, "colex_pulses_total")) {
+    if (s.name.starts_with("colex_elections_total") ||
+        s.name.starts_with("colex_pulses_total")) {
       std::cout << "  " << s.name << " = " << s.value << "\n";
     }
   }
@@ -98,36 +76,19 @@ int main(int argc, char** argv) {
   std::string host = "127.0.0.1";
   std::string path = "/metrics";
   std::uint16_t port = 0;
-  bool have_port = false;
   bool once = false;
   bool raw = false;
-  double interval_s = 2.0;
-
-  const std::vector<std::string> args(argv + 1, argv + argc);
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& a = args[i];
-    const bool has_value = i + 1 < args.size();
-    std::uint64_t u = 0;
-    if (a == "--once") {
-      once = true;
-    } else if (a == "--raw") {
-      raw = true;
-    } else if (a == "--host" && has_value) {
-      host = args[++i];
-    } else if (a == "--path" && has_value) {
-      path = args[++i];
-    } else if (a == "--port" && has_value && parse_u64(args[++i], u) &&
-               u >= 1 && u <= 65535) {
-      port = static_cast<std::uint16_t>(u);
-      have_port = true;
-    } else if (a == "--interval" && has_value && parse_u64(args[++i], u) &&
-               u >= 1) {
-      interval_s = static_cast<double>(u);
-    } else {
-      return usage();
-    }
-  }
-  if (!have_port) return usage();
+  std::uint64_t interval_s = 2;
+  const cli::Command cmd{.flags = {
+      cli::u64("--port", "P", port, "server port", 1).require(),
+      cli::str("--host", "H", host, "server host"),
+      cli::flag("--once", once, "scrape once and exit, do not watch"),
+      cli::flag("--raw", raw, "print the raw exposition body"),
+      cli::u64("--interval", "S", interval_s, "watch cadence, seconds", 1,
+               86'400),
+      cli::str("--path", "P", path, "also /debug/flight or /healthz"),
+  }};
+  if (cli::parse_argv({cmd}, argc, argv) == nullptr) return cli::kUsageExit;
 
   for (;;) {
     int status = 0;
@@ -149,6 +110,6 @@ int main(int argc, char** argv) {
     }
     if (once) return 0;
     std::cout.flush();
-    std::this_thread::sleep_for(std::chrono::duration<double>(interval_s));
+    std::this_thread::sleep_for(std::chrono::seconds(interval_s));
   }
 }
