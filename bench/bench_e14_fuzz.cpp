@@ -82,7 +82,7 @@ int main(int argc, char** argv) {
 
   qa::CampaignOptions planted;
   planted.cases = cases;
-  planted.generator.algorithms = {qa::Algorithm::alg2};
+  planted.generator.algorithms = {co::Algorithm::alg2};
   planted.properties.planted_bound_bug = true;
   bench::WallTimer planted_timer;
   const qa::CampaignReport planted_report = qa::run_campaign(planted);

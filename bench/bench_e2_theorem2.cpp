@@ -25,17 +25,15 @@ int main() {
   bool all_ok = true;
 
   auto run_config = [&](std::size_t n, const std::vector<std::uint64_t>& ids,
-                        co::IdScheme scheme,
+                        co::Algorithm alg,
                         const std::vector<std::vector<bool>>& scrambles) {
     std::uint64_t id_max = 0;
     for (const auto id : ids) id_max = std::max(id_max, id);
-    const std::uint64_t formula = scheme == co::IdScheme::doubled
-                                      ? co::prop15_pulses(n, id_max)
-                                      : co::theorem1_pulses(n, id_max);
+    const std::uint64_t formula = co::exact_pulses(alg, n, id_max);
     bool exact = true, oriented = true, stabilized = true;
     std::uint64_t measured = 0;
     co::Alg3NonOriented::Options options;
-    options.scheme = scheme;
+    options.scheme = co::facts(alg).scheme;
     for (const auto& flips : scrambles) {
       sim::RandomScheduler sched(n + flips.size());
       const auto result =
@@ -50,7 +48,7 @@ int main() {
     all_ok = all_ok && exact && oriented && stabilized;
     table.add_row(
         {util::Table::num(static_cast<std::uint64_t>(n)),
-         util::Table::num(id_max), co::to_string(scheme),
+         util::Table::num(id_max), co::to_string(options.scheme),
          util::Table::num(static_cast<std::uint64_t>(scrambles.size())),
          util::Table::num(measured), util::Table::num(formula),
          exact ? "yes" : "NO", oriented ? "yes" : "NO",
@@ -62,8 +60,8 @@ int main() {
   for (const std::size_t n : {1u, 2u, 4u, 6u, 8u}) {
     const auto ids = util::shuffled(util::dense_ids(n), 3 * n + 1);
     const auto scrambles = util::all_flip_masks(n);
-    run_config(n, ids, co::IdScheme::doubled, scrambles);
-    run_config(n, ids, co::IdScheme::improved, scrambles);
+    run_config(n, ids, co::Algorithm::alg3_doubled, scrambles);
+    run_config(n, ids, co::Algorithm::alg3_improved, scrambles);
   }
   // Random scrambles for larger rings.
   for (const std::size_t n : {16u, 32u, 64u, 128u}) {
@@ -72,8 +70,8 @@ int main() {
     for (std::uint64_t s = 1; s <= 8; ++s) {
       scrambles.push_back(util::random_flips(n, s));
     }
-    run_config(n, ids, co::IdScheme::doubled, scrambles);
-    run_config(n, ids, co::IdScheme::improved, scrambles);
+    run_config(n, ids, co::Algorithm::alg3_doubled, scrambles);
+    run_config(n, ids, co::Algorithm::alg3_improved, scrambles);
   }
   table.print(std::cout);
   report.root().set("all_ok", all_ok);

@@ -44,7 +44,7 @@ int main() {
         thread_pulses = threaded.pulses;
         // All three algorithms elect the same leader; alg1's pulse count is
         // n*IDmax, alg2 and alg3-improved cost n(2*IDmax+1).
-        exact = exact && threaded.pulses == rt::pulse_bound(alg, n, n);
+        exact = exact && threaded.pulses == co::exact_pulses(alg, n, n);
         leader_match = leader_match && threaded.leader == simulated.leader &&
                        threaded.leader_count == 1;
       }
@@ -54,7 +54,7 @@ int main() {
           repeats;
       all_ok = all_ok && exact && leader_match;
       table.add_row({util::Table::num(static_cast<std::uint64_t>(n)),
-                     rt::to_string(alg), util::Table::num(std::uint64_t{repeats}),
+                     co::to_string(alg), util::Table::num(std::uint64_t{repeats}),
                      util::Table::num(simulated.pulses),
                      util::Table::num(thread_pulses), exact ? "yes" : "NO",
                      leader_match ? "yes" : "NO", util::Table::fixed(ms, 2)});

@@ -106,6 +106,31 @@ run_soak_smoke() {
   fi
 }
 
+# Observability smoke: E1 exports an instrumented trace, and the inspector
+# must load it, audit conservation, and confirm the Theorem 1 pulse count
+# from the recorded stream alone; a committed clean Alg 3 (doubled IDs)
+# trace carries its true IDmax and must pass against Proposition 15's count
+# n(4*IDmax-1); a trace with an out-of-range number must be refused.
+run_obs_smoke() {
+  echo "==> [obs-smoke] bench_e1_theorem1 --smoke + colex-inspect check"
+  (cd build && ./bench/bench_e1_theorem1 --smoke \
+    && ./tools/colex-inspect check TRACE_E1.jsonl | tee /dev/stderr \
+       | grep -q "theorem1-bound: OK" \
+    && ./tools/colex-inspect chrome TRACE_E1.jsonl TRACE_E1.chrome.json \
+    && ./tools/colex-inspect diff TRACE_E1.jsonl TRACE_E1.jsonl >/dev/null)
+  ./build/tools/colex-inspect check tests/data/alg3_doubled_trace.jsonl \
+    | tee /dev/stderr | grep -q "prop15-bound: OK"
+  # Negative leg: a deliver event whose port is 2^64+1 must fail to load
+  # (exit 2), not wrap to port 1 and audit clean.
+  local inspect_rc=0
+  ./build/tools/colex-inspect check tests/data/overflow_port_trace.jsonl \
+    > /dev/null 2>&1 || inspect_rc=$?
+  if [ "$inspect_rc" -ne 2 ]; then
+    echo "==> [obs-smoke] FAIL: overflow_port_trace.jsonl exit $inspect_rc (want 2)"
+    exit 1
+  fi
+}
+
 # Coroutine-runtime smoke: bench_e16_coro --smoke runs a 10^4-node election
 # on the coroutine executor next to a ThreadRing capacity sweep and writes
 # BENCH_E16.json; the gates checked on the artifact are >=2x ThreadRing's
@@ -259,9 +284,12 @@ run_socket_smoke build default
 # 5c. Benchmark smoke: every colexbench workload runs and checks out.
 run_bench_smoke
 
+# 5d. Observability smoke on the default build (see run_obs_smoke).
+run_obs_smoke
+
 if [ "$mode" = smoke ]; then
   echo "==> smoke green (default build + ctest + lint + soak + coro" \
-       "+ metrics + socket + bench smoke)"
+       "+ metrics + socket + bench + obs smoke)"
   exit 0
 fi
 
@@ -300,27 +328,7 @@ run_soak_smoke build-tsan tsan
 echo "==> [e12-smoke] bench_e12_exhaustive --smoke"
 (cd build && ./bench/bench_e12_exhaustive --smoke)
 
-# 9. Observability smoke: E1 exports an instrumented trace, and the
-#    inspector must load it, audit conservation, and confirm the Theorem 1
-#    pulse bound from the recorded stream alone; a trace with an
-#    out-of-range number must be refused.
-echo "==> [obs-smoke] bench_e1_theorem1 --smoke + colex-inspect check"
-(cd build && ./bench/bench_e1_theorem1 --smoke \
-  && ./tools/colex-inspect check TRACE_E1.jsonl | tee /dev/stderr \
-     | grep -q "theorem1-bound: OK" \
-  && ./tools/colex-inspect chrome TRACE_E1.jsonl TRACE_E1.chrome.json \
-  && ./tools/colex-inspect diff TRACE_E1.jsonl TRACE_E1.jsonl >/dev/null)
-# Negative leg: a deliver event whose port is 2^64+1 must fail to load
-# (exit 2), not wrap to port 1 and audit clean.
-inspect_rc=0
-./build/tools/colex-inspect check tests/data/overflow_port_trace.jsonl \
-  > /dev/null 2>&1 || inspect_rc=$?
-if [ "$inspect_rc" -ne 2 ]; then
-  echo "==> [obs-smoke] FAIL: overflow_port_trace.jsonl exit $inspect_rc (want 2)"
-  exit 1
-fi
-
-# 10. Fuzz smoke (on the sanitized build, so every generated schedule and
+# 9. Fuzz smoke (on the sanitized build, so every generated schedule and
 #    fault plan also runs under ASan+UBSan): a fixed-seed clean+faulty
 #    campaign must survive with no counterexample; the planted bound defect
 #    must be found, shrink to a minimal repro that replays deterministically

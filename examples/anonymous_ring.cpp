@@ -5,26 +5,33 @@
 // orientation). Repeats many trials and reports the success rate.
 //
 //   ./examples/anonymous_ring [n] [c] [trials] [seed]
-#include <cstdlib>
 #include <iostream>
+#include <limits>
 
 #include "co/election.hpp"
 #include "sim/scheduler.hpp"
+#include "util/cli.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 
 int main(int argc, char** argv) {
   using namespace colex;
 
-  const std::size_t n = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 8;
-  const double c = argc > 2 ? std::strtod(argv[2], nullptr) : 2.0;
-  const int trials = argc > 3 ? std::atoi(argv[3]) : 25;
-  const std::uint64_t seed0 = argc > 4 ? std::strtoull(argv[4], nullptr, 10)
-                                       : 1;
-  if (n == 0 || c <= 0.0 || trials <= 0) {
-    std::cerr << "usage: anonymous_ring [n>0] [c>0] [trials>0] [seed]\n";
-    return 1;
-  }
+  std::size_t n = 8;
+  double c = 2.0;
+  int trials = 25;
+  std::uint64_t seed0 = 1;
+  namespace cli = util::cli;
+  const cli::Command cmd{
+      .positionals = {cli::optional(cli::u64("n", "", n, "ring size", 1)),
+                      cli::optional(cli::f64(
+                          "c", "", c, "ID-sampling constant",
+                          std::numeric_limits<double>::denorm_min())),
+                      cli::optional(
+                          cli::u64("trials", "", trials, "elections", 1)),
+                      cli::optional(
+                          cli::u64("seed", "", seed0, "first trial's seed"))}};
+  if (cli::parse_argv({cmd}, argc, argv) == nullptr) return cli::kUsageExit;
 
   std::cout << "Anonymous-ring election (Theorem 3), n = " << n
             << ", c = " << c << ", " << trials << " trials\n\n";

@@ -70,15 +70,12 @@ int cmd_elect(const Args& args) {
   const auto ids = resolve_ids(args);
   sim::Scheduler& scheduler = *args.adversary;
 
-  std::uint64_t id_max = 0;
-  for (const auto id : ids) id_max = std::max(id_max, id);
-
   if (args.alg == "alg1") {
     const auto result = co::elect_oriented_stabilizing(ids, scheduler);
     std::cout << "alg1 (stabilizing): leader="
               << (result.leader ? std::to_string(*result.leader) : "-")
-              << " pulses=" << result.pulses << " (n*IDmax="
-              << ids.size() * id_max << ") quiescent="
+              << " pulses=" << result.pulses
+              << " (n*IDmax=" << result.pulse_bound << ") quiescent="
               << (result.quiescent ? "yes" : "no") << "\n";
     return result.valid_election() ? 0 : 1;
   }
@@ -86,9 +83,8 @@ int cmd_elect(const Args& args) {
     const auto result = co::elect_oriented_terminating(ids, scheduler);
     std::cout << "alg2 (terminating): leader="
               << (result.leader ? std::to_string(*result.leader) : "-")
-              << " pulses=" << result.pulses << " (n(2*IDmax+1)="
-              << co::theorem1_pulses(ids.size(), id_max)
-              << ") terminated="
+              << " pulses=" << result.pulses
+              << " (n(2*IDmax+1)=" << result.pulse_bound << ") terminated="
               << (result.all_terminated ? "yes" : "no") << "\n";
     return result.valid_election() ? 0 : 1;
   }

@@ -8,25 +8,25 @@
 // ORDER, never by message content.
 //
 //   ./examples/compose_compute [n] [seed]
-#include <cstdlib>
 #include <iostream>
 
 #include "colib/apps.hpp"
 #include "colib/composed.hpp"
 #include "sim/scheduler.hpp"
+#include "util/cli.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 
 int main(int argc, char** argv) {
   using namespace colex;
 
-  const std::size_t n = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 6;
-  const std::uint64_t seed = argc > 2 ? std::strtoull(argv[2], nullptr, 10)
-                                      : 11;
-  if (n == 0) {
-    std::cerr << "ring size must be positive\n";
-    return 1;
-  }
+  std::size_t n = 6;
+  std::uint64_t seed = 11;
+  namespace cli = util::cli;
+  const cli::Command cmd{
+      .positionals = {cli::optional(cli::u64("n", "", n, "ring size", 1)),
+                      cli::optional(cli::u64("seed", "", seed, "RNG seed"))}};
+  if (cli::parse_argv({cmd}, argc, argv) == nullptr) return cli::kUsageExit;
 
   util::Xoshiro256StarStar rng(seed);
   std::vector<std::uint64_t> ids;

@@ -6,24 +6,24 @@
 // Builds a ring of n nodes with random sparse IDs, runs the quiescently
 // terminating election under a random adversarial scheduler, and prints the
 // outcome together with the paper's exact message-complexity formula.
-#include <cstdlib>
 #include <iostream>
 
 #include "co/election.hpp"
 #include "sim/scheduler.hpp"
+#include "util/cli.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 
 int main(int argc, char** argv) {
   using namespace colex;
 
-  const std::size_t n = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 8;
-  const std::uint64_t seed = argc > 2 ? std::strtoull(argv[2], nullptr, 10)
-                                      : 42;
-  if (n == 0) {
-    std::cerr << "ring size must be positive\n";
-    return 1;
-  }
+  std::size_t n = 8;
+  std::uint64_t seed = 42;
+  namespace cli = util::cli;
+  const cli::Command cmd{
+      .positionals = {cli::optional(cli::u64("n", "", n, "ring size", 1)),
+                      cli::optional(cli::u64("seed", "", seed, "RNG seed"))}};
+  if (cli::parse_argv({cmd}, argc, argv) == nullptr) return cli::kUsageExit;
 
   // Assign unique random IDs (any distinct positive integers work; the
   // message complexity depends on the largest one).

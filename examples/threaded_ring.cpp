@@ -4,22 +4,23 @@
 // exact pulse count — matches the discrete-event simulator.
 //
 //   ./examples/threaded_ring [n] [repeats]
-#include <cstdlib>
 #include <iostream>
 
 #include "co/election.hpp"
 #include "runtime/blocking_algs.hpp"
+#include "threaded_ring_cli.hpp"
 #include "util/rng.hpp"
 
 int main(int argc, char** argv) {
   using namespace colex;
 
-  const std::size_t n = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 8;
-  const int repeats = argc > 2 ? std::atoi(argv[2]) : 5;
-  if (n == 0 || repeats <= 0) {
-    std::cerr << "usage: threaded_ring [n>0] [repeats>0]\n";
-    return 1;
+  examples::ThreadedRingArgs args;
+  if (util::cli::parse_argv({examples::threaded_ring_command(args)}, argc,
+                            argv) == nullptr) {
+    return util::cli::kUsageExit;
   }
+  const std::size_t n = args.n;
+  const int repeats = args.repeats;
 
   util::Xoshiro256StarStar rng(99);
   std::vector<std::uint64_t> ids;

@@ -4,7 +4,6 @@
 // algorithm's counters evolve purely through pulse order.
 //
 //   ./examples/trace_playback [n] [seed] [max_lines]
-#include <cstdlib>
 #include <iostream>
 #include <memory>
 
@@ -12,21 +11,23 @@
 #include "co/election.hpp"
 #include "sim/network.hpp"
 #include "sim/trace.hpp"
+#include "util/cli.hpp"
 #include "util/ids.hpp"
 #include "util/table.hpp"
 
 int main(int argc, char** argv) {
   using namespace colex;
 
-  const std::size_t n = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 3;
-  const std::uint64_t seed = argc > 2 ? std::strtoull(argv[2], nullptr, 10)
-                                      : 7;
-  const std::size_t max_lines =
-      argc > 3 ? std::strtoul(argv[3], nullptr, 10) : 60;
-  if (n == 0) {
-    std::cerr << "ring size must be positive\n";
-    return 1;
-  }
+  std::size_t n = 3;
+  std::uint64_t seed = 7;
+  std::size_t max_lines = 60;
+  namespace cli = util::cli;
+  const cli::Command cmd{
+      .positionals = {cli::optional(cli::u64("n", "", n, "ring size", 1)),
+                      cli::optional(cli::u64("seed", "", seed, "RNG seed")),
+                      cli::optional(cli::u64("max_lines", "", max_lines,
+                                             "timeline lines to print"))}};
+  if (cli::parse_argv({cmd}, argc, argv) == nullptr) return cli::kUsageExit;
 
   const auto ids = util::shuffled(util::dense_ids(n), seed);
   auto net = sim::PulseNetwork::ring(n);

@@ -4,7 +4,8 @@
 
 namespace colex::co {
 
-Alg1Stabilizing::Alg1Stabilizing(std::uint64_t id) : id_(id) {
+Alg1Stabilizing::Alg1Stabilizing(std::uint64_t id)
+    : ElectionAutomaton(id) {
   COLEX_EXPECTS(id >= 1);
 }
 

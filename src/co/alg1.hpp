@@ -19,7 +19,7 @@
 
 namespace colex::co {
 
-class Alg1Stabilizing final : public sim::PulseAutomaton {
+class Alg1Stabilizing final : public ElectionAutomaton {
  public:
   /// `id` must be a positive integer; IDs need not be contiguous. The
   /// algorithm also behaves correctly under non-unique IDs (Lemma 16), where
@@ -36,8 +36,6 @@ class Alg1Stabilizing final : public sim::PulseAutomaton {
     return role_ == Role::undecided ? "probe" : "elected";
   }
 
-  std::uint64_t id() const { return id_; }
-  Role role() const { return role_; }
   const PulseCounters& counters() const { return counters_; }
 
   /// Fault-injection only (sim/faults.hpp): overwrites the node's local
@@ -51,8 +49,6 @@ class Alg1Stabilizing final : public sim::PulseAutomaton {
   }
 
  private:
-  std::uint64_t id_;
-  Role role_ = Role::undecided;
   PulseCounters counters_;
 };
 

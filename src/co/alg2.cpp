@@ -4,7 +4,8 @@
 
 namespace colex::co {
 
-Alg2Terminating::Alg2Terminating(std::uint64_t id) : id_(id) {
+Alg2Terminating::Alg2Terminating(std::uint64_t id)
+    : ElectionAutomaton(id) {
   COLEX_EXPECTS(id >= 1);
 }
 

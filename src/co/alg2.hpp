@@ -21,7 +21,7 @@
 
 namespace colex::co {
 
-class Alg2Terminating final : public sim::PulseAutomaton {
+class Alg2Terminating final : public ElectionAutomaton {
  public:
   explicit Alg2Terminating(std::uint64_t id);
 
@@ -40,8 +40,6 @@ class Alg2Terminating final : public sim::PulseAutomaton {
     return role_ == Role::undecided ? "probe" : "elected";
   }
 
-  std::uint64_t id() const { return id_; }
-  Role role() const { return role_; }
   const PulseCounters& counters() const { return counters_; }
   /// True iff this node fired the unique rho_cw = ID = rho_ccw event and
   /// initiated the termination pulse (must only ever be the leader).
@@ -64,8 +62,6 @@ class Alg2Terminating final : public sim::PulseAutomaton {
   /// transition taken).
   bool iterate(sim::PulseContext& ctx);
 
-  std::uint64_t id_;
-  Role role_ = Role::undecided;
   PulseCounters counters_;
   bool initiated_termination_ = false;  // entered lines 14-17
   bool awaiting_return_ = false;        // inside the wait loop, lines 16-17

@@ -23,7 +23,9 @@ VirtualIds virtual_ids(std::uint64_t id, IdScheme scheme) {
 }
 
 Alg3NonOriented::Alg3NonOriented(std::uint64_t id, Options options)
-    : id_(id), initial_id_(id), vids_(virtual_ids(id, options.scheme)) {
+    : ElectionAutomaton(id),
+      initial_id_(id),
+      vids_(virtual_ids(id, options.scheme)) {
   if (options.resample_seed) {
     resampler_.emplace(*options.resample_seed);
   }

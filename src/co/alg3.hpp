@@ -30,20 +30,12 @@
 #include <memory>
 #include <optional>
 
+#include "co/algorithms.hpp"
 #include "co/roles.hpp"
 #include "sim/network.hpp"
 #include "util/rng.hpp"
 
 namespace colex::co {
-
-enum class IdScheme {
-  doubled,   // Proposition 15
-  improved,  // Theorem 2
-};
-
-constexpr const char* to_string(IdScheme s) {
-  return s == IdScheme::doubled ? "doubled" : "improved";
-}
 
 /// Virtual ID pair for `id` under `scheme`; index i governs pulses received
 /// at port 1-i and forwarded out port i.
@@ -52,7 +44,7 @@ struct VirtualIds {
 };
 VirtualIds virtual_ids(std::uint64_t id, IdScheme scheme);
 
-class Alg3NonOriented final : public sim::PulseAutomaton {
+class Alg3NonOriented final : public ElectionAutomaton {
  public:
   struct Options {
     IdScheme scheme = IdScheme::improved;
@@ -75,10 +67,9 @@ class Alg3NonOriented final : public sim::PulseAutomaton {
     return cw_port_ == sim::Port::p0 ? "orientation_flip" : "elected";
   }
 
-  /// The node's current ID: the initial one, or the latest Prop.-19 redraw.
-  std::uint64_t id() const { return id_; }
+  /// id() is the node's current ID: the initial one, or the latest
+  /// Prop.-19 redraw.
   std::uint64_t initial_id() const { return initial_id_; }
-  Role role() const { return role_; }
   std::uint64_t rho(sim::Port p) const { return rho_[sim::index(p)]; }
   std::uint64_t sigma(sim::Port p) const { return sigma_[sim::index(p)]; }
   /// The port this node has named as leading to its CW neighbor. Only
@@ -101,10 +92,8 @@ class Alg3NonOriented final : public sim::PulseAutomaton {
  private:
   void update_output();
 
-  std::uint64_t id_;
   std::uint64_t initial_id_;
   VirtualIds vids_;
-  Role role_ = Role::undecided;
   std::uint64_t rho_[2] = {0, 0};
   std::uint64_t sigma_[2] = {0, 0};
   sim::Port cw_port_ = sim::Port::p1;

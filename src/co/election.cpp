@@ -30,21 +30,22 @@ sim::Port physical_cw_port(const std::vector<bool>& port_flips,
   return flipped ? sim::Port::p0 : sim::Port::p1;
 }
 
-namespace {
-
-void finalize_roles(ElectionResult& result) {
-  result.leader_count = 0;
-  result.leader.reset();
-  for (sim::NodeId v = 0; v < result.nodes.size(); ++v) {
-    if (result.nodes[v].role == Role::leader) {
-      ++result.leader_count;
-      if (!result.leader) result.leader = v;
-    }
+std::unique_ptr<ElectionAutomaton> make_automaton(Algorithm alg,
+                                                  std::uint64_t id) {
+  const AlgorithmFacts& f = facts(alg);
+  if (!f.oriented) {
+    return std::make_unique<Alg3NonOriented>(
+        id, Alg3NonOriented::Options{f.scheme, {}});
   }
+  if (f.terminates) return std::make_unique<Alg2Terminating>(id);
+  return std::make_unique<Alg1Stabilizing>(id);
 }
 
+namespace {
+
 template <typename Alg>
-ElectionResult run_oriented(const std::vector<std::uint64_t>& ids,
+ElectionResult run_oriented(Algorithm alg,
+                            const std::vector<std::uint64_t>& ids,
                             sim::Scheduler& scheduler,
                             const sim::RunOptions& opts) {
   COLEX_EXPECTS(!ids.empty());
@@ -58,21 +59,21 @@ ElectionResult run_oriented(const std::vector<std::uint64_t>& ids,
   result.all_terminated = result.report.all_terminated;
   result.pulses = result.report.sent;
   const std::uint64_t id_max = *std::max_element(ids.begin(), ids.end());
-  result.pulse_bound =
-      id_max == 0 ? 0 : theorem1_pulses(ids.size(), id_max);
+  result.pulse_bound = exact_pulses(alg, ids.size(), id_max);
   result.nodes.reserve(ids.size());
   for (sim::NodeId v = 0; v < ids.size(); ++v) {
-    const auto& alg = net.template automaton_as<Alg>(v);
+    const auto& node = net.template automaton_as<Alg>(v);
     NodeOutcome o;
-    o.id = alg.id();
-    o.role = alg.role();
-    o.rho_cw = alg.counters().rho_cw;
-    o.sigma_cw = alg.counters().sigma_cw;
-    o.rho_ccw = alg.counters().rho_ccw;
-    o.sigma_ccw = alg.counters().sigma_ccw;
+    o.id = node.id();
+    o.role = node.role();
+    o.rho_cw = node.counters().rho_cw;
+    o.sigma_cw = node.counters().sigma_cw;
+    o.rho_ccw = node.counters().rho_ccw;
+    o.sigma_ccw = node.counters().sigma_ccw;
     result.nodes.push_back(o);
   }
-  finalize_roles(result);
+  tally_leaders(result, ids.size(),
+                [&result](std::size_t v) { return result.nodes[v].role; });
   return result;
 }
 
@@ -81,13 +82,13 @@ ElectionResult run_oriented(const std::vector<std::uint64_t>& ids,
 ElectionResult elect_oriented_stabilizing(const std::vector<std::uint64_t>& ids,
                                           sim::Scheduler& scheduler,
                                           const sim::RunOptions& opts) {
-  return run_oriented<Alg1Stabilizing>(ids, scheduler, opts);
+  return run_oriented<Alg1Stabilizing>(Algorithm::alg1, ids, scheduler, opts);
 }
 
 ElectionResult elect_oriented_terminating(const std::vector<std::uint64_t>& ids,
                                           sim::Scheduler& scheduler,
                                           const sim::RunOptions& opts) {
-  return run_oriented<Alg2Terminating>(ids, scheduler, opts);
+  return run_oriented<Alg2Terminating>(Algorithm::alg2, ids, scheduler, opts);
 }
 
 OrientationResult elect_and_orient(const std::vector<std::uint64_t>& ids,
@@ -112,7 +113,10 @@ OrientationResult elect_and_orient(const std::vector<std::uint64_t>& ids,
   result.all_terminated = result.report.all_terminated;
   result.pulses = result.report.sent;
   const std::uint64_t id_max = *std::max_element(ids.begin(), ids.end());
-  result.pulse_bound = id_max == 0 ? 0 : prop15_pulses(ids.size(), id_max);
+  result.pulse_bound = exact_pulses(options.scheme == IdScheme::doubled
+                                        ? Algorithm::alg3_doubled
+                                        : Algorithm::alg3_improved,
+                                    ids.size(), id_max);
   result.nodes.reserve(ids.size());
   result.cw_ports.reserve(ids.size());
   for (sim::NodeId v = 0; v < ids.size(); ++v) {
@@ -125,7 +129,8 @@ OrientationResult elect_and_orient(const std::vector<std::uint64_t>& ids,
     result.nodes.push_back(o);
     result.cw_ports.push_back(alg.cw_port());
   }
-  finalize_roles(result);
+  tally_leaders(result, ids.size(),
+                [&result](std::size_t v) { return result.nodes[v].role; });
 
   // Consistency: every node's declared CW port must point the same physical
   // way around the ring.

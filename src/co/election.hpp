@@ -4,11 +4,12 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
 #include "co/alg3.hpp"
-#include "co/bounds.hpp"
+#include "co/algorithms.hpp"
 #include "co/roles.hpp"
 #include "co/sampling.hpp"
 #include "sim/network.hpp"
@@ -29,10 +30,9 @@ struct ElectionResult {
   bool quiescent = false;
   bool all_terminated = false;
   std::uint64_t pulses = 0;  ///< total pulses sent, network ground truth
-  /// The paper's pulse bound for this run's actual inputs: Theorem 1/2's
-  /// n(2*IDmax+1) for the oriented algorithms, Proposition 15's
-  /// n(4*IDmax-1) for the non-oriented one. 0 when no bound applies
-  /// (IDmax == 0).
+  /// The paper's exact pulse count for this run's algorithm and inputs
+  /// (co::exact_pulses): the bound a faulty run is measured against. 0 when
+  /// no count applies (IDmax == 0).
   std::uint64_t pulse_bound = 0;
   std::optional<sim::NodeId> leader;
   std::size_t leader_count = 0;
@@ -76,6 +76,11 @@ struct AnonymousResult {
   bool sampled_unique_max = false;
 };
 
+/// A fresh simulator node running `alg` with ID `id` (Algorithm 3 without
+/// Prop.-19 resampling for the non-oriented entries).
+std::unique_ptr<ElectionAutomaton> make_automaton(Algorithm alg,
+                                                  std::uint64_t id);
+
 /// Theorem 4 lower bound: n * floor(log2(k / n)) pulses when k >= n IDs are
 /// assignable.
 std::uint64_t theorem4_lower_bound(std::uint64_t n, std::uint64_t k);
@@ -87,6 +92,7 @@ sim::Port physical_cw_port(const std::vector<bool>& port_flips,
 
 /// Runs Algorithm 1 (stabilizing) on an oriented ring with the given IDs.
 /// Duplicate IDs are allowed (Lemma 16); each max-ID holder ends Leader.
+/// Message complexity is exactly cor13_pulses(n, IDmax).
 ElectionResult elect_oriented_stabilizing(const std::vector<std::uint64_t>& ids,
                                           sim::Scheduler& scheduler,
                                           const sim::RunOptions& opts = {});

@@ -29,6 +29,24 @@ void publish_metrics(obs::Registry& metrics, const SocketRunResult& result,
   rt::publish_pulse_bound(metrics, "net", alg, ids, result.pulses);
 }
 
+/// Node v's configuration, the same for a thread and a forked process.
+RingNodeConfig node_config(std::uint32_t v,
+                           const std::vector<std::uint64_t>& ids,
+                           const std::vector<bool>& port_flips,
+                           rt::ThreadAlg alg, std::uint16_t coordinator_port,
+                           std::uint16_t base_port, std::uint64_t timeout_ms) {
+  return {.index = v,
+          .ring_size = static_cast<std::uint32_t>(ids.size()),
+          .id = ids[v],
+          .flip = !port_flips.empty() && port_flips[v],
+          .alg = alg,
+          .coordinator_port = coordinator_port,
+          .data_port = base_port == 0
+                           ? std::uint16_t{0}
+                           : static_cast<std::uint16_t>(base_port + v),
+          .timeout_ms = timeout_ms};
+}
+
 }  // namespace
 
 SocketRunResult run_on_sockets(const std::vector<std::uint64_t>& ids,
@@ -62,18 +80,9 @@ SocketRunResult run_on_sockets(const std::vector<std::uint64_t>& ids,
   std::vector<std::thread> workers;
   workers.reserve(n);
   for (std::uint32_t v = 0; v < n; ++v) {
-    RingNodeConfig cfg;
-    cfg.index = v;
-    cfg.ring_size = n;
-    cfg.id = ids[v];
-    cfg.flip = !port_flips.empty() && port_flips[v];
-    cfg.alg = alg;
-    cfg.coordinator_port = coordinator.port();
-    cfg.data_port =
-        options.base_port == 0
-            ? std::uint16_t{0}
-            : static_cast<std::uint16_t>(options.base_port + v);
-    cfg.timeout_ms = options.timeout_ms;
+    RingNodeConfig cfg =
+        node_config(v, ids, port_flips, alg, coordinator.port(),
+                    options.base_port, options.timeout_ms);
     cfg.flight = node_rings[v];
     workers.emplace_back(
         [&node_results, v, cfg] { node_results[v] = run_ring_node(cfg); });
@@ -134,19 +143,9 @@ MultiProcResult run_multiprocess(const std::vector<std::uint64_t>& ids,
     if (pid == 0) {
       // Child: drop the inherited coordinator listener, become node v.
       coordinator.close_listener_in_child();
-      RingNodeConfig cfg;
-      cfg.index = v;
-      cfg.ring_size = n;
-      cfg.id = ids[v];
-      cfg.flip = !port_flips.empty() && port_flips[v];
-      cfg.alg = alg;
-      cfg.coordinator_port = coordinator.port();
-      cfg.data_port =
-          options.base_port == 0
-              ? std::uint16_t{0}
-              : static_cast<std::uint16_t>(options.base_port + v);
-      cfg.timeout_ms = options.timeout_ms;
-      const NodeResult nr = run_ring_node(cfg);
+      const NodeResult nr = run_ring_node(
+          node_config(v, ids, port_flips, alg, coordinator.port(),
+                      options.base_port, options.timeout_ms));
       // _exit, not exit: no atexit handlers, no flushing shared state the
       // parent still owns.
       ::_exit(nr.ok ? 0 : 1);

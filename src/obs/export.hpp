@@ -3,7 +3,7 @@
 //
 //  * JSONL (colex-trace-v1): one self-describing JSON object per line; a
 //    leading meta line carries the ring shape (n, port flips) and the pulse
-//    bound inputs (algorithm, IDmax), an optional trailing metrics line
+//    count inputs (algorithm, true IDmax), an optional trailing metrics line
 //    embeds a Registry snapshot. This is the format tools/colex_inspect.cpp
 //    loads back, and load_jsonl() below round-trips it.
 //
@@ -23,7 +23,7 @@
 #include <string>
 #include <vector>
 
-#include "co/bounds.hpp"
+#include "co/algorithms.hpp"
 #include "obs/metrics.hpp"
 #include "sim/trace.hpp"
 
@@ -38,9 +38,11 @@ struct TraceMeta {
   std::uint64_t id_max = 0;         ///< max assigned ID (0 = unknown)
   std::vector<bool> port_flips;     ///< per-node port scrambling; empty = oriented
 
-  /// Theorem 1/2 pulse bound n(2*IDmax+1), or 0 when inputs are unknown.
+  /// co::exact_pulses for this algorithm and ring, or 0 (skip the check)
+  /// when n, id_max or the algorithm is unknown, as in "soak" snapshots.
   std::uint64_t pulse_bound() const {
-    return (n == 0 || id_max == 0) ? 0 : co::theorem1_pulses(n, id_max);
+    const auto alg = co::from_string(algorithm);
+    return (n == 0 || !alg) ? 0 : co::exact_pulses(*alg, n, id_max);
   }
 };
 

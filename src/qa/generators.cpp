@@ -2,54 +2,16 @@
 
 #include <algorithm>
 
-#include "co/alg3.hpp"
-#include "co/bounds.hpp"
 #include "co/sampling.hpp"
 #include "util/contracts.hpp"
 #include "util/rng.hpp"
 
 namespace colex::qa {
 
-const char* to_string(Algorithm a) {
-  switch (a) {
-    case Algorithm::alg1: return "alg1";
-    case Algorithm::alg2: return "alg2";
-    case Algorithm::alg3_doubled: return "alg3-doubled";
-    case Algorithm::alg3_improved: return "alg3-improved";
-    case Algorithm::alg4: return "alg4";
-  }
-  return "?";
-}
-
-bool algorithm_from_string(const std::string& s, Algorithm& out) {
-  for (const Algorithm a :
-       {Algorithm::alg1, Algorithm::alg2, Algorithm::alg3_doubled,
-        Algorithm::alg3_improved, Algorithm::alg4}) {
-    if (s == to_string(a)) {
-      out = a;
-      return true;
-    }
-  }
-  return false;
-}
-
 std::uint64_t FuzzCase::id_max() const {
   std::uint64_t m = 0;
   for (const auto id : ids) m = std::max(m, id);
   return m;
-}
-
-std::uint64_t FuzzCase::effective_id_max() const {
-  const std::uint64_t m = id_max();
-  if (m == 0) return 0;
-  return alg == Algorithm::alg3_doubled ? 2 * m - 1 : m;
-}
-
-std::uint64_t FuzzCase::pulse_bound() const {
-  const std::uint64_t m = effective_id_max();
-  // Theorem 1 over the effective IDmax covers all three formulas: for the
-  // doubled scheme 2*(2*IDmax-1)+1 = 4*IDmax-1, Proposition 15 exactly.
-  return m == 0 ? 0 : co::theorem1_pulses(ids.size(), m);
 }
 
 bool operator==(const FuzzCase& a, const FuzzCase& b) {
@@ -91,11 +53,11 @@ bool operator==(const FuzzCase& a, const FuzzCase& b) {
 
 namespace {
 
-std::vector<std::uint64_t> sample_ids_for(Algorithm alg, std::size_t n,
+std::vector<std::uint64_t> sample_ids_for(co::Algorithm alg, std::size_t n,
                                           std::uint64_t max_id,
                                           util::Xoshiro256StarStar& rng) {
   std::vector<std::uint64_t> ids(n);
-  if (alg == Algorithm::alg4) {
+  if (co::facts(alg).samples_ids) {
     // Algorithm 4: geometric bit-length sampling, clamped into [1, max_id]
     // so fuzz runs stay bounded (the distribution's heavy tail would
     // otherwise produce astronomically long elections).
@@ -105,7 +67,7 @@ std::vector<std::uint64_t> sample_ids_for(Algorithm alg, std::size_t n,
     }
     return ids;
   }
-  if (alg == Algorithm::alg1 && rng.bernoulli(0.4)) {
+  if (alg == co::Algorithm::alg1 && rng.bernoulli(0.4)) {
     // Lemma 16: Algorithm 1 tolerates arbitrary multisets, including the
     // all-equal extreme.
     if (rng.bernoulli(0.2)) {
@@ -236,11 +198,8 @@ FuzzCase generate_case(std::uint64_t seed, const GeneratorOptions& options) {
   c.seed = seed;
   c.max_events = options.max_events;
 
-  static constexpr Algorithm kAll[] = {
-      Algorithm::alg1, Algorithm::alg2, Algorithm::alg3_doubled,
-      Algorithm::alg3_improved, Algorithm::alg4};
   if (options.algorithms.empty()) {
-    c.alg = kAll[rng.below(std::size(kAll))];
+    c.alg = co::kAlgorithms[rng.below(std::size(co::kAlgorithms))];
   } else {
     c.alg = options.algorithms[rng.below(options.algorithms.size())];
   }
@@ -249,10 +208,7 @@ FuzzCase generate_case(std::uint64_t seed, const GeneratorOptions& options) {
       options.min_n + rng.below(options.max_n - options.min_n + 1);
   c.ids = sample_ids_for(c.alg, n, options.max_id, rng);
 
-  const bool non_oriented =
-      c.alg == Algorithm::alg3_doubled || c.alg == Algorithm::alg3_improved ||
-      c.alg == Algorithm::alg4;
-  if (non_oriented && !rng.bernoulli(0.2)) {
+  if (!co::facts(c.alg).oriented && !rng.bernoulli(0.2)) {
     c.port_flips.resize(n);
     for (std::size_t v = 0; v < n; ++v) c.port_flips[v] = rng.bernoulli(0.5);
   }
@@ -261,8 +217,14 @@ FuzzCase generate_case(std::uint64_t seed, const GeneratorOptions& options) {
 
   if (options.fault_fraction > 0.0 && rng.bernoulli(options.fault_fraction)) {
     // Horizon heuristic: scripted fault offsets land inside the fault-free
-    // event count, which is ~2x the pulse bound (starts + deliveries).
-    const std::uint64_t horizon = std::max<std::uint64_t>(8, c.pulse_bound());
+    // event count, which is ~2x the pulse count (starts + deliveries).
+    // Algorithm 1 keeps Theorem 1's n(2*IDmax+1) as its horizon: the
+    // seeded cases' fault plans are pinned to it.
+    const std::uint64_t pulses =
+        c.alg == co::Algorithm::alg1
+            ? co::theorem1_pulses(n, c.id_max())
+            : co::exact_pulses(c.alg, n, c.id_max());
+    const std::uint64_t horizon = std::max<std::uint64_t>(8, pulses);
     c.faults = sample_fault_plan(n, horizon, rng);
     if (rng.bernoulli(0.25)) {
       c.corrupt = sample_corrupt(n, options.max_id, rng);

@@ -16,25 +16,12 @@
 #include <string>
 #include <vector>
 
+#include "co/algorithms.hpp"
 #include "sim/faults.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/types.hpp"
 
 namespace colex::qa {
-
-/// Algorithms the fuzzer can drive. alg4 is the paper's anonymous pipeline:
-/// IDs sampled by Algorithm 4 (clamped to the generator's ID cap so runs
-/// stay bounded), then Algorithm 3 with the improved scheme.
-enum class Algorithm {
-  alg1,
-  alg2,
-  alg3_doubled,
-  alg3_improved,
-  alg4,
-};
-
-const char* to_string(Algorithm a);
-bool algorithm_from_string(const std::string& s, Algorithm& out);
 
 /// Declarative analogue of sim::FaultInjector's StateCorruptor: overwrite
 /// one node's counters before the run starts. Serializable, unlike the
@@ -59,7 +46,9 @@ struct CorruptSpec {
 /// not pending falls back to global-FIFO deterministically).
 struct FuzzCase {
   std::uint64_t seed = 0;  ///< generator seed that produced this case
-  Algorithm alg = Algorithm::alg2;
+  /// alg4 samples its IDs with Algorithm 4, clamped to the generator's ID
+  /// cap so runs stay bounded.
+  co::Algorithm alg = co::Algorithm::alg2;
   std::vector<std::uint64_t> ids;
   std::vector<bool> port_flips;  ///< empty = oriented
   std::uint64_t schedule_seed = 1;
@@ -70,13 +59,6 @@ struct FuzzCase {
 
   std::size_t n() const { return ids.size(); }
   std::uint64_t id_max() const;
-  /// Largest virtual ID in play — the IDmax the paper's n(2*IDmax+1) bound
-  /// formula sees (2*IDmax-1 for the doubled scheme, IDmax otherwise).
-  std::uint64_t effective_id_max() const;
-  /// The paper's exact pulse bound for this configuration (Theorem 1/2 for
-  /// the oriented algorithms and the improved scheme, Proposition 15 for
-  /// the doubled scheme); 0 when no bound applies.
-  std::uint64_t pulse_bound() const;
   /// True iff the fault plan and corruption spec can provably never act.
   bool clean() const { return faults.trivial() && !corrupt.active; }
 
@@ -88,7 +70,7 @@ struct GeneratorOptions {
   std::size_t max_n = 6;
   std::uint64_t max_id = 12;
   /// Algorithms drawn from; empty = all five.
-  std::vector<Algorithm> algorithms;
+  std::vector<co::Algorithm> algorithms;
   /// Fraction of cases that carry a non-trivial fault plan (0 = clean-only).
   double fault_fraction = 0.0;
   std::uint64_t max_events = 50'000;

@@ -3,12 +3,8 @@
 #include <algorithm>
 #include <utility>
 
-#include "co/alg1.hpp"
-#include "co/alg2.hpp"
-#include "co/alg3.hpp"
 #include "co/election.hpp"
 #include "co/invariants.hpp"
-#include "co/oriented.hpp"
 #include "coro/run.hpp"
 #include "net/run.hpp"
 #include "sim/explore.hpp"
@@ -19,46 +15,24 @@ namespace colex::qa {
 
 namespace {
 
-co::IdScheme scheme_of(Algorithm alg) {
-  return alg == Algorithm::alg3_doubled ? co::IdScheme::doubled
-                                        : co::IdScheme::improved;
-}
-
-bool oriented(Algorithm alg) {
-  return alg == Algorithm::alg1 || alg == Algorithm::alg2;
-}
-
-co::Role role_of(const FuzzCase& c, const sim::PulseNetwork& net,
-                 sim::NodeId v) {
-  switch (c.alg) {
-    case Algorithm::alg1:
-      return net.automaton_as<co::Alg1Stabilizing>(v).role();
-    case Algorithm::alg2:
-      return net.automaton_as<co::Alg2Terminating>(v).role();
-    default:
-      return net.automaton_as<co::Alg3NonOriented>(v).role();
-  }
-}
+bool oriented(const FuzzCase& c) { return co::facts(c.alg).oriented; }
 
 /// First per-event invariant violation across started, live nodes.
 std::string invariants_now(const FuzzCase& c, const sim::PulseNetwork& net) {
+  const co::AlgorithmFacts& f = co::facts(c.alg);
   const std::uint64_t id_max = c.id_max();
   for (sim::NodeId v = 0; v < net.size(); ++v) {
     if (!net.started(v) || net.node_crashed(v)) continue;
     std::string err;
-    switch (c.alg) {
-      case Algorithm::alg1:
-        err = co::check_alg1_invariants(
-            net.automaton_as<co::Alg1Stabilizing>(v), id_max);
-        break;
-      case Algorithm::alg2:
-        err = co::check_alg2_invariants(
-            net.automaton_as<co::Alg2Terminating>(v), id_max);
-        break;
-      default:
-        err = co::check_alg3_invariants(
-            net.automaton_as<co::Alg3NonOriented>(v), scheme_of(c.alg));
-        break;
+    if (!f.oriented) {
+      err = co::check_alg3_invariants(
+          net.automaton_as<co::Alg3NonOriented>(v), f.scheme);
+    } else if (f.terminates) {
+      err = co::check_alg2_invariants(
+          net.automaton_as<co::Alg2Terminating>(v), id_max);
+    } else {
+      err = co::check_alg1_invariants(
+          net.automaton_as<co::Alg1Stabilizing>(v), id_max);
     }
     if (!err.empty()) return "node " + std::to_string(v) + ": " + err;
   }
@@ -70,10 +44,10 @@ sim::PulseFaultInjector::StateCorruptor make_corruptor(const FuzzCase& c) {
   return [c](sim::PulseNetwork& net) {
     const CorruptSpec& spec = c.corrupt;
     COLEX_EXPECTS(spec.node < net.size());
-    if (oriented(c.alg)) {
+    if (oriented(c)) {
       const co::PulseCounters k{spec.counters[0], spec.counters[1],
                                 spec.counters[2], spec.counters[3]};
-      if (c.alg == Algorithm::alg1) {
+      if (c.alg == co::Algorithm::alg1) {
         net.automaton_as<co::Alg1Stabilizing>(spec.node).load_corrupted_state(
             k, co::Role::undecided);
       } else {
@@ -90,51 +64,27 @@ sim::PulseFaultInjector::StateCorruptor make_corruptor(const FuzzCase& c) {
 }
 
 /// Digest of one terminal state, for cross-engine leaf comparison.
-std::uint64_t leaf_digest(const FuzzCase& c, const sim::PulseNetwork& net) {
+std::uint64_t leaf_digest(const sim::PulseNetwork& net) {
   std::uint64_t h = 1469598103934665603ULL;
   auto mix = [&h](std::uint64_t v) {
     h = (h ^ v) * 1099511628211ULL;
   };
   mix(net.counters().sent);
   for (sim::NodeId v = 0; v < net.size(); ++v) {
-    mix(static_cast<std::uint64_t>(role_of(c, net, v)));
+    mix(static_cast<std::uint64_t>(co::role_at(net, v)));
   }
   return h;
 }
 
 }  // namespace
 
-std::unique_ptr<sim::PulseAutomaton> make_automaton(const FuzzCase& c,
-                                                    sim::NodeId v) {
-  COLEX_EXPECTS(v < c.n());
-  switch (c.alg) {
-    case Algorithm::alg1:
-      return std::make_unique<co::Alg1Stabilizing>(c.ids[v]);
-    case Algorithm::alg2:
-      return std::make_unique<co::Alg2Terminating>(c.ids[v]);
-    default:
-      return std::make_unique<co::Alg3NonOriented>(
-          c.ids[v], co::Alg3NonOriented::Options{scheme_of(c.alg), {}});
-  }
-}
-
 sim::PulseNetwork build_case_network(const FuzzCase& c) {
   COLEX_EXPECTS(c.n() >= 1);
   auto net = sim::PulseNetwork::ring(c.n(), c.port_flips);
   for (sim::NodeId v = 0; v < c.n(); ++v) {
-    net.set_automaton(v, make_automaton(c, v));
+    net.set_automaton(v, co::make_automaton(c.alg, c.ids[v]));
   }
   return net;
-}
-
-rt::ThreadAlg thread_alg(Algorithm a) {
-  // Every other algorithm has a transcription of the same name.
-  if (a == Algorithm::alg4) return rt::ThreadAlg::alg3_improved;
-  return rt::from_string(to_string(a)).value();
-}
-
-std::uint64_t exact_pulses(const FuzzCase& c) {
-  return rt::pulse_bound(thread_alg(c.alg), c.n(), c.id_max());
 }
 
 RunOutcome execute_case(const FuzzCase& c) {
@@ -160,7 +110,7 @@ RunOutcome execute_case(const FuzzCase& c) {
   if (!clean) {
     injector.emplace(
         c.faults,
-        [&c](sim::NodeId v) { return make_automaton(c, v); },
+        [&c](sim::NodeId v) { return co::make_automaton(c.alg, c.ids[v]); },
         make_corruptor(c));
     injector->attach_trace(trace);
     injector->attach(net, opts);
@@ -181,17 +131,14 @@ RunOutcome execute_case(const FuzzCase& c) {
   out.audit_diag = trace.audit(sim::ring_wiring(c.n(), c.port_flips));
   out.roles.reserve(c.n());
   for (sim::NodeId v = 0; v < c.n(); ++v) {
-    const co::Role r = role_of(c, net, v);
-    out.roles.push_back(r);
-    if (r == co::Role::leader) {
-      ++out.leader_count;
-      if (!out.leader) out.leader = v;
-    }
-    if (!oriented(c.alg)) {
+    out.roles.push_back(co::role_at(net, v));
+    if (!oriented(c)) {
       out.cw_ports.push_back(
           net.automaton_as<co::Alg3NonOriented>(v).cw_port());
     }
   }
+  co::tally_leaders(out, c.n(),
+                    [&out](std::size_t v) { return out.roles[v]; });
   return out;
 }
 
@@ -201,9 +148,9 @@ std::vector<std::string> property_names(const FuzzCase& c,
   if (c.clean()) {
     names.emplace_back("invariants");
     names.emplace_back("quiescence");
-    if (c.alg == Algorithm::alg2) names.emplace_back("termination");
+    if (co::facts(c.alg).terminates) names.emplace_back("termination");
     names.emplace_back("valid-election");
-    if (!oriented(c.alg)) names.emplace_back("orientation");
+    if (!oriented(c)) names.emplace_back("orientation");
     names.emplace_back("pulse-bound");
   }
   names.emplace_back("trace-audit");
@@ -226,6 +173,7 @@ CaseResult check_case(const FuzzCase& c, const PropertyOptions& opts) {
 
   const bool clean = c.clean();
   const bool settled = r.outcome.report.quiescent;
+  const std::uint64_t exact = co::exact_pulses(c.alg, c.n(), c.id_max());
   if (clean) {
     if (!r.outcome.invariant_diag.empty()) {
       fail("invariants", r.outcome.invariant_diag);
@@ -236,7 +184,7 @@ CaseResult check_case(const FuzzCase& c, const PropertyOptions& opts) {
                ? "event limit hit with pulses still in transit"
                : "stalled with unconsumed queued pulses");
     }
-    if (c.alg == Algorithm::alg2 && settled &&
+    if (co::facts(c.alg).terminates && settled &&
         !r.outcome.report.all_terminated) {
       fail("termination", "quiescent but not all nodes terminated");
     }
@@ -248,7 +196,7 @@ CaseResult check_case(const FuzzCase& c, const PropertyOptions& opts) {
       const std::uint64_t id_max = c.id_max();
       const std::size_t max_holders = static_cast<std::size_t>(
           std::count(c.ids.begin(), c.ids.end(), id_max));
-      if (c.alg == Algorithm::alg1 || max_holders == 1) {
+      if (c.alg == co::Algorithm::alg1 || max_holders == 1) {
         std::string diag;
         for (sim::NodeId v = 0; v < c.n(); ++v) {
           const co::Role expected =
@@ -263,7 +211,7 @@ CaseResult check_case(const FuzzCase& c, const PropertyOptions& opts) {
         }
         if (!diag.empty()) fail("valid-election", diag);
       }
-      if (!oriented(c.alg) && max_holders == 1) {
+      if (!oriented(c) && max_holders == 1) {
         // Proposition 15: all declared CW ports point the same way around
         // the physical cycle. Which way is the algorithm's to choose, so
         // only consistency is checked. A node's port toward node v+1 is
@@ -290,13 +238,11 @@ CaseResult check_case(const FuzzCase& c, const PropertyOptions& opts) {
       // applicability condition — Algorithm 4's clamped sampling can mint
       // duplicate maxima, and a duplicated max genuinely overshoots (two
       // competing flows both climb to IDmax before colliding).
-      if (c.alg == Algorithm::alg1 || max_holders == 1) {
-        const std::uint64_t expected = exact_pulses(c);
-        if (r.outcome.counters.sent != expected) {
+      if (c.alg == co::Algorithm::alg1 || max_holders == 1) {
+        if (r.outcome.counters.sent != exact) {
           fail("pulse-bound",
                "pulses=" + std::to_string(r.outcome.counters.sent) +
-                   " expected exactly " + std::to_string(expected) +
-                   " (bound " + std::to_string(c.pulse_bound()) + ")");
+                   " expected exactly " + std::to_string(exact));
         }
       }
     }
@@ -306,11 +252,11 @@ CaseResult check_case(const FuzzCase& c, const PropertyOptions& opts) {
     fail("trace-audit", r.outcome.audit_diag);
   }
 
-  if (opts.planted_bound_bug && clean && settled && c.pulse_bound() > 0 &&
-      r.outcome.counters.sent > c.pulse_bound() - 1) {
+  if (opts.planted_bound_bug && clean && settled && exact > 0 &&
+      r.outcome.counters.sent > exact - 1) {
     fail("planted-bound-off-by-one",
          "pulses=" + std::to_string(r.outcome.counters.sent) +
-             " exceeds bound-1=" + std::to_string(c.pulse_bound() - 1));
+             " exceeds bound-1=" + std::to_string(exact - 1));
   }
 
   if (opts.check_replay) {
@@ -351,9 +297,7 @@ std::string check_engine_agreement(const FuzzCase& c, std::uint64_t budget) {
     auto& sink = digests[i];
     stats[i] = sim::explore_all_schedules(
         build,
-        [&sink, &c](sim::PulseNetwork& net) {
-          sink.push_back(leaf_digest(c, net));
-        },
+        [&sink](sim::PulseNetwork& net) { sink.push_back(leaf_digest(net)); },
         options);
   }
   if (!(stats[0] == stats[1])) {
@@ -372,8 +316,7 @@ std::string check_engine_agreement(const FuzzCase& c, std::uint64_t budget) {
 std::string check_runtime_agreement(const FuzzCase& c,
                                     std::uint64_t timeout_ms) {
   COLEX_EXPECTS(c.clean());
-  const rt::ThreadAlg alg = thread_alg(c.alg);
-  const std::uint64_t expected = exact_pulses(c);
+  const std::uint64_t expected = co::exact_pulses(c.alg, c.n(), c.id_max());
   const RunOutcome sim_run = execute_case(c);
   if (sim_run.counters.sent != expected) {
     return "pulse count: sim " + std::to_string(sim_run.counters.sent) +
@@ -401,12 +344,12 @@ std::string check_runtime_agreement(const FuzzCase& c,
     return {};
   };
   std::string diag =
-      compare("thread", rt::run_on_threads(c.ids, c.port_flips, alg,
+      compare("thread", rt::run_on_threads(c.ids, c.port_flips, c.alg,
                                            timeout_ms));
   // The coroutine executor runs with two workers so the work-stealing and
   // sleep/wake paths are actually exercised.
   if (diag.empty()) {
-    diag = compare("coro", coro::run_on_coro(c.ids, c.port_flips, alg,
+    diag = compare("coro", coro::run_on_coro(c.ids, c.port_flips, c.alg,
                                              {2, timeout_ms, nullptr}));
   }
   // Real TCP sockets on loopback — small rings only (each node costs a
@@ -416,7 +359,7 @@ std::string check_runtime_agreement(const FuzzCase& c,
     net::SocketRunOptions sopts;
     sopts.timeout_ms = timeout_ms;
     const net::SocketRunResult socketed =
-        net::run_on_sockets(c.ids, c.port_flips, alg, sopts);
+        net::run_on_sockets(c.ids, c.port_flips, c.alg, sopts);
     diag = compare("socket", socketed);
     if (diag.empty() && socketed.consumed != socketed.pulses) {
       diag = "socket runtime conservation: sent " +

@@ -22,7 +22,6 @@
 
 #include "co/roles.hpp"
 #include "qa/generators.hpp"
-#include "runtime/blocking_algs.hpp"
 #include "sim/network.hpp"
 #include "sim/trace.hpp"
 
@@ -48,11 +47,11 @@ struct RunOutcome {
 };
 
 struct PropertyOptions {
-  /// Enables the planted off-by-one bound property (pulses <= bound - 1):
-  /// deliberately false for Algorithm 2, whose pulse count is *exactly* the
-  /// bound, so the fuzzer provably finds it. The exported trace still
-  /// satisfies the real bound, so the repro round-trips through
-  /// `colex-inspect check` cleanly.
+  /// Enables the planted off-by-one bound property (pulses <= exact - 1):
+  /// deliberately false on every clean quiescent run, whose pulse count is
+  /// *exactly* co::exact_pulses, so the fuzzer provably finds it. The
+  /// exported trace still satisfies the real count, so the repro
+  /// round-trips through `colex-inspect check` cleanly.
   bool planted_bound_bug = false;
   /// Re-executes the recorded tape on a fresh network and requires the
   /// identical outcome (counters, roles, quiescence).
@@ -67,21 +66,8 @@ struct CaseResult {
   bool passed() const { return failed_property.empty(); }
 };
 
-/// Builds the case's ring with fresh automatons (also the recovery factory
-/// for crash/recover fault plans).
+/// Builds the case's ring with fresh co::make_automaton nodes.
 sim::PulseNetwork build_case_network(const FuzzCase& c);
-std::unique_ptr<sim::PulseAutomaton> make_automaton(const FuzzCase& c,
-                                                    sim::NodeId v);
-
-/// The runtime transcription that runs `a` off the simulator; Algorithm 4's
-/// pipeline elects with Algorithm 3 over the improved scheme.
-rt::ThreadAlg thread_alg(Algorithm a);
-
-/// The exact pulse count the paper predicts for a clean quiescent run of
-/// this case: rt::pulse_bound of its transcription, i.e. Corollary 13's
-/// n*IDmax for Algorithm 1 and FuzzCase::pulse_bound() (which the other
-/// algorithms meet with equality) otherwise.
-std::uint64_t exact_pulses(const FuzzCase& c);
 
 /// Executes the case once (tape replay if c.tape is non-empty, else the
 /// generated scheduler) with tracing and, for clean cases, per-event

@@ -142,8 +142,10 @@ ReproFile load_repro(std::istream& is) {
                     format == "colex-repro-v1");
       find_u64(line, "seed", out.c.seed);
       std::string alg;
-      COLEX_EXPECTS(find_string(line, "algorithm", alg) &&
-                    algorithm_from_string(alg, out.c.alg));
+      COLEX_EXPECTS(find_string(line, "algorithm", alg));
+      const auto parsed = co::from_string(alg);
+      COLEX_EXPECTS(parsed.has_value());
+      out.c.alg = *parsed;
       COLEX_EXPECTS(find_u64_array(line, "ids", out.c.ids) &&
                     !out.c.ids.empty());
       std::vector<std::uint64_t> flips;
@@ -230,7 +232,7 @@ obs::TraceMeta trace_meta_for(const FuzzCase& c) {
   obs::TraceMeta meta;
   meta.algorithm = to_string(c.alg);
   meta.n = c.n();
-  meta.id_max = c.effective_id_max();
+  meta.id_max = c.id_max();
   meta.port_flips = c.port_flips;
   return meta;
 }

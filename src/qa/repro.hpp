@@ -44,9 +44,9 @@ ReproFile load_repro(std::istream& is);
 ReproFile load_repro_file(const std::string& path);
 void save_repro_file(const std::string& path, const ReproFile& repro);
 
-/// Trace metadata for exporting this case's event stream: uses the
-/// *effective* IDmax (2*IDmax-1 for the doubled scheme) so colex-inspect's
-/// n(2*id_max+1) bound formula equals the bound that actually applies.
+/// Trace metadata for exporting this case's event stream: the algorithm's
+/// catalogue name and the true IDmax, from which colex-inspect picks the
+/// exact count that applies.
 obs::TraceMeta trace_meta_for(const FuzzCase& c);
 
 }  // namespace colex::qa

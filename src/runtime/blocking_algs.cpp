@@ -11,7 +11,7 @@ void publish_pulse_bound(obs::Registry& metrics, const std::string& prefix,
                          ThreadAlg alg, const std::vector<std::uint64_t>& ids,
                          std::uint64_t node_sends) {
   const std::uint64_t id_max = *std::max_element(ids.begin(), ids.end());
-  const std::uint64_t bound = pulse_bound(alg, ids.size(), id_max);
+  const std::uint64_t bound = co::exact_pulses(alg, ids.size(), id_max);
   metrics.gauge(prefix + ".pulse_bound").set(static_cast<double>(bound));
   metrics.gauge(prefix + ".pulse_margin")
       .set(static_cast<double>(bound) - static_cast<double>(node_sends));

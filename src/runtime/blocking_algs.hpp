@@ -18,13 +18,11 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "co/alg3.hpp"
-#include "co/bounds.hpp"
+#include "co/algorithms.hpp"
 #include "co/oriented.hpp"
 #include "co/roles.hpp"
 #include "runtime/port.hpp"
@@ -224,68 +222,23 @@ ElectionTask run_alg3(Io io, std::uint64_t id, co::IdScheme scheme) {
   }
 }
 
-/// Which algorithm a run executes (shared by ThreadRing, src/coro and
-/// src/net).
-enum class ThreadAlg { alg1, alg2, alg3_doubled, alg3_improved };
+/// Which algorithm a run executes (the catalogue's, co/algorithms.hpp).
+using ThreadAlg = co::Algorithm;
 
-inline constexpr ThreadAlg kThreadAlgs[] = {
-    ThreadAlg::alg1, ThreadAlg::alg2, ThreadAlg::alg3_doubled,
-    ThreadAlg::alg3_improved};
-
-/// The algorithm's name on command lines and in reports.
-constexpr const char* to_string(ThreadAlg alg) {
-  switch (alg) {
-    case ThreadAlg::alg1: return "alg1";
-    case ThreadAlg::alg2: return "alg2";
-    case ThreadAlg::alg3_doubled: return "alg3-doubled";
-    case ThreadAlg::alg3_improved: return "alg3-improved";
-  }
-  return "?";
-}
-
-/// Inverse of to_string; nullopt for an unknown name.
-inline std::optional<ThreadAlg> from_string(std::string_view name) {
-  for (const ThreadAlg alg : kThreadAlgs) {
-    if (name == to_string(alg)) return alg;
-  }
-  return std::nullopt;
-}
-
-/// The exact pulse count of a clean run of `alg` on n nodes: Corollary 13
-/// for Alg 1, Theorem 1 for Alg 2, Prop. 15 / Thm. 2 for Alg 3 with the
-/// doubled / improved scheme. 0 when no bound applies (IDmax == 0).
-constexpr std::uint64_t pulse_bound(ThreadAlg alg, std::uint64_t n,
-                                    std::uint64_t id_max) {
-  if (id_max == 0) return 0;
-  switch (alg) {
-    case ThreadAlg::alg1: return co::cor13_pulses(n, id_max);
-    case ThreadAlg::alg2: return co::theorem1_pulses(n, id_max);
-    case ThreadAlg::alg3_doubled: return co::prop15_pulses(n, id_max);
-    case ThreadAlg::alg3_improved: return co::theorem1_pulses(n, id_max);
-  }
-  return 0;
-}
-
-/// Publishes `<prefix>.pulse_bound` (pulse_bound() for these ids) and
+/// Publishes `<prefix>.pulse_bound` (co::exact_pulses for these ids) and
 /// `<prefix>.pulse_margin` (the bound minus `node_sends`) as gauges.
 void publish_pulse_bound(obs::Registry& metrics, const std::string& prefix,
                          ThreadAlg alg, const std::vector<std::uint64_t>& ids,
                          std::uint64_t node_sends);
 
-/// Instantiates the template transcription for `alg` over any PulsePort.
+/// Instantiates the template transcription for `alg` over any PulsePort
+/// (alg4's nodes are given their IDs, so they run Algorithm 3 improved).
 template <PulsePort Io>
 ElectionTask spawn_alg(ThreadAlg alg, Io io, std::uint64_t id) {
-  switch (alg) {
-    case ThreadAlg::alg1:
-      return run_alg1(std::move(io), id);
-    case ThreadAlg::alg2:
-      return run_alg2(std::move(io), id);
-    case ThreadAlg::alg3_doubled:
-      return run_alg3(std::move(io), id, co::IdScheme::doubled);
-    case ThreadAlg::alg3_improved:
-      return run_alg3(std::move(io), id, co::IdScheme::improved);
-  }
-  util::contract_fail("precondition", "valid ThreadAlg", __FILE__, __LINE__);
+  const co::AlgorithmFacts& f = co::facts(alg);
+  if (!f.oriented) return run_alg3(std::move(io), id, f.scheme);
+  if (f.terminates) return run_alg2(std::move(io), id);
+  return run_alg1(std::move(io), id);
 }
 
 /// ThreadRing's run result: the substrate-agnostic TransportRunResult shape

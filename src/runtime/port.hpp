@@ -100,17 +100,10 @@ struct TransportRunResult {
   std::string stall_dump;
 };
 
-/// Folds `outcomes` into the leader tally fields (leader_count and the
-/// first leader's index) — identical logic previously repeated per backend.
+/// Folds `outcomes` into the leader tally fields (co::tally_leaders).
 inline void tally_leaders(TransportRunResult& r) {
-  r.leader_count = 0;
-  r.leader.reset();
-  for (sim::NodeId v = 0; v < r.outcomes.size(); ++v) {
-    if (r.outcomes[v].role == co::Role::leader) {
-      ++r.leader_count;
-      if (!r.leader) r.leader = v;
-    }
-  }
+  co::tally_leaders(r, r.outcomes.size(),
+                    [&r](std::size_t v) { return r.outcomes[v].role; });
 }
 
 /// Coroutine handle for one node's election run. Lazy-started: the creator

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "co/bounds.hpp"
+#include "co/algorithms.hpp"
 #include "util/contracts.hpp"
 #include "util/rng.hpp"
 
@@ -26,14 +26,6 @@ bool preset_from_string(const std::string& s, ChurnPreset& out) {
     }
   }
   return false;
-}
-
-const char* to_string(SoakAlg alg) {
-  switch (alg) {
-    case SoakAlg::alg1: return "alg1";
-    case SoakAlg::alg2: return "alg2";
-  }
-  return "?";
 }
 
 ChurnProfile ChurnProfile::preset(ChurnPreset preset) {
@@ -70,11 +62,6 @@ std::uint64_t RingSpec::id_max() const {
   std::uint64_t m = 0;
   for (const auto id : ids) m = std::max(m, id);
   return m;
-}
-
-std::uint64_t RingSpec::pulse_bound() const {
-  const std::uint64_t m = id_max();
-  return m == 0 ? 0 : co::theorem1_pulses(ids.size(), m);
 }
 
 ChurnEngine::ChurnEngine(std::uint64_t soak_seed, std::size_t slot,
@@ -205,18 +192,20 @@ RingSpec ChurnEngine::spec(std::uint64_t election, unsigned attempt,
   RingSpec out;
   const std::size_t n =
       profile_.min_n + rng.below(profile_.max_n - profile_.min_n + 1);
-  out.alg = rng.bernoulli(0.5) ? SoakAlg::alg1 : SoakAlg::alg2;
+  out.alg = rng.bernoulli(0.5) ? co::Algorithm::alg1 : co::Algorithm::alg2;
   out.ids = sample_ids(n, profile_.max_id, rng);
   out.schedule_seed = rng.next();
 
-  // Event budget: a clean run takes n starts plus ~bound deliveries;
-  // duplicates, spurious pulses, and recovery restarts inflate that, so the
-  // deadline starts at 4x clean and doubles per retry (exponential
-  // backoff). Algorithm 1 under sustained spurious noise livelocks by
-  // design — the budget is what converts that into a classified `diverged`
-  // attempt instead of a wedged shard.
+  // Event budget: a clean run takes n starts plus at most Theorem 1's
+  // n(2·IDmax+1) deliveries (Algorithm 1 needs only n·IDmax, but both
+  // algorithms get the same budget); duplicates, spurious pulses, and
+  // recovery restarts inflate that, so the deadline starts at 4x clean and
+  // doubles per retry (exponential backoff). Algorithm 1 under sustained
+  // spurious noise livelocks by design — the budget is what converts that
+  // into a classified `diverged` attempt instead of a wedged shard.
   const std::uint64_t clean_events =
-      out.pulse_bound() + static_cast<std::uint64_t>(n) + 8;
+      co::theorem1_pulses(n, out.id_max()) + static_cast<std::uint64_t>(n) +
+      8;
   out.max_events = (4 * clean_events) << std::min(attempt, 6u);
 
   const double decay = 1.0 / static_cast<double>(1u << std::min(attempt, 16u));

@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "co/algorithms.hpp"
 #include "sim/faults.hpp"
 
 namespace colex::svc {
@@ -36,13 +37,6 @@ enum class ChurnPreset { calm, steady, storm };
 
 const char* to_string(ChurnPreset preset);
 bool preset_from_string(const std::string& s, ChurnPreset& out);
-
-/// Which algorithm a soak election runs. Only the oriented facades are
-/// multiplexed: Algorithm 1 exercises the stabilizing path (quiescence
-/// without termination), Algorithm 2 the terminating one.
-enum class SoakAlg { alg1, alg2 };
-
-const char* to_string(SoakAlg alg);
 
 /// Intensity knobs for the per-slot churn engine.
 struct ChurnProfile {
@@ -70,15 +64,16 @@ struct ChurnProfile {
 
 /// One election work order produced by the churn engine.
 struct RingSpec {
-  SoakAlg alg = SoakAlg::alg2;
-  std::vector<std::uint64_t> ids;   ///< unique; IDmax drives the pulse bound
+  /// Only the oriented algorithms are multiplexed: Algorithm 1 exercises
+  /// the stabilizing path (quiescence without termination), Algorithm 2 the
+  /// terminating one.
+  co::Algorithm alg = co::Algorithm::alg2;
+  std::vector<std::uint64_t> ids;   ///< unique; IDmax drives the pulse count
   std::uint64_t schedule_seed = 1;  ///< seeds the adversarial scheduler
   sim::FaultPlan faults;            ///< validate()-clean by construction
   std::uint64_t max_events = 0;     ///< per-attempt deadline (event budget)
 
   std::uint64_t id_max() const;
-  /// Theorem 1/2 pulse bound n(2·IDmax+1) for this ring.
-  std::uint64_t pulse_bound() const;
 };
 
 class ChurnEngine {

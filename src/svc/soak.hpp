@@ -34,10 +34,11 @@
 // cannot wedge the run: every attempt has a hard event budget, so the flag
 // is diagnostic, not load-bearing.
 //
-// The service-level gate a soak must pass (SoakReport::ok()): zero
-// safety-violated, zero diverged, zero abandoned elections — with the
-// supervisor guaranteeing that every COMPLETED election carried a unique
-// max-ID leader within the Theorem 1 pulse bound.
+// The service-level gate a soak must pass (SoakReport::ok()): at least one
+// completed election and zero safety-violated, zero diverged, zero
+// abandoned elections — with the supervisor guaranteeing that every
+// COMPLETED election carried a unique max-ID leader within its pulse count
+// (supervisor.hpp).
 #pragma once
 
 #include <cstddef>
@@ -127,10 +128,11 @@ struct SoakReport {
   obs::Registry metrics;                ///< merged across shards
   std::uint64_t snapshots_written = 0;
 
-  /// The service-level gate: every started election completed correctly.
+  /// The service-level gate: some election ran, and every started one
+  /// completed correctly. A soak that elected nobody proves nothing.
   bool ok() const {
-    return safety_violated == 0 && diverged == 0 && abandoned == 0 &&
-           started == completed;
+    return completed > 0 && safety_violated == 0 && diverged == 0 &&
+           abandoned == 0 && started == completed;
   }
 
   /// One-line machine-readable summary (colex-soak --json prints it;

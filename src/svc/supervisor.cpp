@@ -1,10 +1,9 @@
 #include "svc/supervisor.hpp"
 
-#include <memory>
+#include <optional>
 #include <utility>
 
-#include "co/alg1.hpp"
-#include "co/alg2.hpp"
+#include "co/election.hpp"
 #include "co/roles.hpp"
 #include "coro/run.hpp"
 #include "net/run.hpp"
@@ -40,16 +39,26 @@ bool backend_from_string(const std::string& s, SoakBackend& out) {
 
 namespace {
 
-std::unique_ptr<sim::PulseAutomaton> fresh_node(SoakAlg alg,
-                                                std::uint64_t id) {
-  if (alg == SoakAlg::alg1) return std::make_unique<co::Alg1Stabilizing>(id);
-  return std::make_unique<co::Alg2Terminating>(id);
+/// The count an attempt's pulses are held to: on a clean attempt the
+/// algorithm's exact count (Corollary 13 / Theorem 1), which it must hit;
+/// under faults Theorem 1's n(2·IDmax+1) ceiling, which it may not pass.
+std::uint64_t pulse_bound(const RingSpec& spec, bool clean) {
+  const std::size_t n = spec.ids.size();
+  return clean ? co::exact_pulses(spec.alg, n, spec.id_max())
+               : co::theorem1_pulses(n, spec.id_max());
 }
 
-co::Role role_of(const sim::PulseNetwork& net, SoakAlg alg, sim::NodeId v) {
-  return alg == SoakAlg::alg1
-             ? net.automaton_as<co::Alg1Stabilizing>(v).role()
-             : net.automaton_as<co::Alg2Terminating>(v).role();
+/// The leader tally of a settled simulator ring.
+struct Leaders {
+  std::size_t leader_count = 0;
+  std::optional<sim::NodeId> leader;
+};
+
+Leaders leaders_of(const sim::PulseNetwork& net) {
+  Leaders t;
+  co::tally_leaders(t, net.size(),
+                    [&net](sim::NodeId v) { return co::role_at(net, v); });
+  return t;
 }
 
 /// Classifies a clean attempt run on a runtime backend: the coroutine
@@ -75,8 +84,8 @@ AttemptResult classify_runtime_attempt(const RingSpec& spec,
     }
   }
   a.pulses = r.pulses;
-  a.pulse_bound = spec.pulse_bound();
-  a.within_bound = a.pulses <= a.pulse_bound;
+  a.pulse_bound = pulse_bound(spec, /*clean=*/true);
+  a.within_bound = a.pulses == a.pulse_bound;
   a.unique_leader = r.leader_count == 1;
   a.leader_is_max =
       r.leader.has_value() && spec.ids[*r.leader] == spec.id_max();
@@ -89,14 +98,13 @@ AttemptResult classify_runtime_attempt(const RingSpec& spec,
     a.diagnosis = label + " attempt hit the stall watchdog: " + r.stall_dump;
     return a;
   }
+  const bool terminates = co::facts(spec.alg).terminates;
   bool decided = a.unique_leader && a.leader_is_max;
   for (const rt::BlockingOutcome& out : r.outcomes) {
     if (out.role == co::Role::undecided) decided = false;
-    if (spec.alg == SoakAlg::alg2 && !out.terminated && !out.stopped) {
-      decided = false;
-    }
+    if (terminates && !out.terminated && !out.stopped) decided = false;
   }
-  a.report.all_terminated = decided && spec.alg == SoakAlg::alg2;
+  a.report.all_terminated = decided && terminates;
   if (!decided) {
     a.outcome = sim::FaultOutcome::safety_violated;
     a.diagnosis = "clean " + label +
@@ -104,9 +112,8 @@ AttemptResult classify_runtime_attempt(const RingSpec& spec,
                   std::to_string(r.leader_count) + " leaders";
   } else if (!a.within_bound) {
     a.outcome = sim::FaultOutcome::safety_violated;
-    a.diagnosis = "clean " + label +
-                  " run exceeded the Theorem 1 pulse bound: " +
-                  std::to_string(a.pulses) + " > " +
+    a.diagnosis = "clean " + label + " run missed its exact pulse count: " +
+                  std::to_string(a.pulses) + " != " +
                   std::to_string(a.pulse_bound);
   } else {
     a.outcome = sim::FaultOutcome::recovered_correct;
@@ -119,8 +126,6 @@ AttemptResult classify_runtime_attempt(const RingSpec& spec,
 AttemptResult run_attempt(const RingSpec& spec, SoakBackend backend) {
   COLEX_EXPECTS(!spec.ids.empty());
   COLEX_EXPECTS(spec.max_events > 0);
-  const rt::ThreadAlg runtime_alg =
-      spec.alg == SoakAlg::alg1 ? rt::ThreadAlg::alg1 : rt::ThreadAlg::alg2;
   if (backend == SoakBackend::coro && spec.faults.trivial()) {
     // One worker per election: a soak shard is already one thread of a
     // fixed pool, so fanning each tiny ring across more workers would only
@@ -129,7 +134,7 @@ AttemptResult run_attempt(const RingSpec& spec, SoakBackend backend) {
     copts.workers = 1;
     copts.timeout_ms = 10'000;
     const coro::CoroRunResult r =
-        coro::run_on_coro(spec.ids, {}, runtime_alg, copts);
+        coro::run_on_coro(spec.ids, {}, spec.alg, copts);
     // SPSC fabric: every pulse consumed once.
     return classify_runtime_attempt(spec, backend, r, r.pulses);
   }
@@ -137,22 +142,22 @@ AttemptResult run_attempt(const RingSpec& spec, SoakBackend backend) {
     net::SocketRunOptions sopts;
     sopts.timeout_ms = 10'000;
     const net::SocketRunResult r =
-        net::run_on_sockets(spec.ids, {}, runtime_alg, sopts);
+        net::run_on_sockets(spec.ids, {}, spec.alg, sopts);
     // Wire conservation: sent == consumed.
     return classify_runtime_attempt(spec, backend, r, r.consumed);
   }
   const std::size_t n = spec.ids.size();
   const std::uint64_t id_max = spec.id_max();
+  const bool terminates = co::facts(spec.alg).terminates;
 
   sim::PulseNetwork net = sim::PulseNetwork::ring(n);
   for (sim::NodeId v = 0; v < n; ++v) {
-    net.set_automaton(v, fresh_node(spec.alg, spec.ids[v]));
+    net.set_automaton(v, co::make_automaton(spec.alg, spec.ids[v]));
   }
-  sim::FaultyNetwork faulty(
-      std::move(net), spec.faults,
-      [alg = spec.alg, &spec](sim::NodeId v) {
-        return fresh_node(alg, spec.ids[v]);
-      });
+  sim::FaultyNetwork faulty(std::move(net), spec.faults,
+                            [&spec](sim::NodeId v) {
+                              return co::make_automaton(spec.alg, spec.ids[v]);
+                            });
 
   // Phase-attribute every node send (the sender's current phase, resolved
   // through the network so crash/recover automaton swaps stay safe). Plain
@@ -176,22 +181,14 @@ AttemptResult run_attempt(const RingSpec& spec, SoakBackend backend) {
   // fault-free invariants forbid (a spurious pulse pushes counters past
   // IDmax), so only the final output is judged; clean-attempt escalation
   // below restores full strictness where the model actually promises it.
-  const auto correct = [&spec, n, id_max](const sim::PulseNetwork& final_net) {
-    std::size_t leaders = 0;
-    bool max_is_leader = false;
+  const auto correct = [&spec, n, id_max,
+                        terminates](const sim::PulseNetwork& final_net) {
     for (sim::NodeId v = 0; v < n; ++v) {
-      const co::Role role = role_of(final_net, spec.alg, v);
-      if (role == co::Role::undecided) return false;
-      if (role == co::Role::leader) {
-        ++leaders;
-        max_is_leader = max_is_leader || spec.ids[v] == id_max;
-      }
-      if (spec.alg == SoakAlg::alg2 &&
-          !final_net.automaton(v).terminated()) {
-        return false;
-      }
+      if (co::role_at(final_net, v) == co::Role::undecided) return false;
+      if (terminates && !final_net.automaton(v).terminated()) return false;
     }
-    return leaders == 1 && max_is_leader;
+    const Leaders t = leaders_of(final_net);
+    return t.leader_count == 1 && spec.ids[*t.leader] == id_max;
   };
 
   sim::RunOptions opts;
@@ -206,8 +203,9 @@ AttemptResult run_attempt(const RingSpec& spec, SoakBackend backend) {
   a.tallies = run.tallies;
   a.report = run.report;
   a.pulses = run.report.sent;
-  a.pulse_bound = spec.pulse_bound();
-  a.within_bound = a.pulses <= a.pulse_bound;
+  a.pulse_bound = pulse_bound(spec, clean);
+  a.within_bound =
+      clean ? a.pulses == a.pulse_bound : a.pulses <= a.pulse_bound;
   a.phase_pulses = phase_pulses;
   if (a.pulses > observed_sends) {
     // Fabric pulses no node sent (injections, duplicates): the adversary
@@ -216,24 +214,20 @@ AttemptResult run_attempt(const RingSpec& spec, SoakBackend backend) {
         a.pulses - observed_sends;
   }
 
-  std::size_t leaders = 0;
-  for (sim::NodeId v = 0; v < n; ++v) {
-    if (role_of(faulty.network(), spec.alg, v) == co::Role::leader) {
-      ++leaders;
-      a.leader_is_max = a.leader_is_max || spec.ids[v] == id_max;
-    }
-  }
-  a.unique_leader = leaders == 1;
+  const Leaders t = leaders_of(faulty.network());
+  a.unique_leader = t.leader_count == 1;
+  a.leader_is_max = t.leader && spec.ids[*t.leader] == id_max;
 
   if (a.outcome == sim::FaultOutcome::recovered_correct && !a.within_bound) {
-    // The hard invariant: no election completes past the Theorem 1 bound.
+    // The hard invariant: no election completes past Theorem 1's ceiling.
     // Under faults an excess is the adversary's doing (one duplicate breaks
-    // Algorithm 2's exact n(2·IDmax+1) budget) — demote and retry. On a
-    // clean run the bound is the theorem's promise, so an excess is a bug.
+    // Algorithm 2's exact n(2·IDmax+1) count) — demote and retry. On a
+    // clean run the exact count is the theorem's promise, so a miss is a
+    // bug.
     if (clean) {
       a.outcome = sim::FaultOutcome::safety_violated;
-      a.diagnosis = "clean run exceeded the Theorem 1 pulse bound: " +
-                    std::to_string(a.pulses) + " > " +
+      a.diagnosis = "clean run missed its exact pulse count: " +
+                    std::to_string(a.pulses) + " != " +
                     std::to_string(a.pulse_bound);
     } else {
       a.outcome = sim::FaultOutcome::stalled;

@@ -9,12 +9,13 @@
 //    and it is the max-ID node. A CLEAN attempt (trivial fault plan) that
 //    settles any other way is a genuine algorithm bug and classifies as
 //    safety_violated, which is fatal: no retry can unsee it.
-//  * Theorem 1 pulse bound — every completed election's pulse count is
-//    checked against n(2·IDmax+1). A faulty attempt may legitimately exceed
-//    it (a single duplicate breaks Algorithm 2's exact budget), so a
-//    bound-exceeding settle is demoted to `stalled` and retried; on a clean
-//    attempt the same excess is a safety violation. A completed election
-//    therefore always passed the bound check.
+//  * Pulse counts — a CLEAN attempt must hit its algorithm's exact count
+//    (co::exact_pulses: Corollary 13's n·IDmax for Algorithm 1, Theorem 1's
+//    n(2·IDmax+1) for Algorithm 2); a miss is a safety violation. A faulty
+//    attempt is held only to Theorem 1's ceiling, which it may legitimately
+//    exceed (a single duplicate breaks Algorithm 2's exact count), so a
+//    ceiling-exceeding settle is demoted to `stalled` and retried. A
+//    completed election therefore always passed its count check.
 //
 // Retries respawn through ChurnEngine::spec(election, attempt, ...): fresh
 // ring, exponentially decayed churn, doubled event budget, and a provably
@@ -41,7 +42,7 @@ namespace colex::svc {
 /// real TCP rings on loopback (one thread per node plus a quiescence
 /// coordinator, src/net). Faulty attempts always go through
 /// sim::FaultyNetwork. The service-level contract is unchanged — both
-/// paths check the same unique-max-leader and Theorem 1 bound predicates
+/// paths check the same unique-max-leader and pulse-count predicates
 /// against conserved pulse counters.
 enum class SoakBackend { sim, coro, socket };
 
@@ -65,8 +66,9 @@ struct AttemptResult {
   sim::FaultOutcome outcome = sim::FaultOutcome::recovered_correct;
   std::string diagnosis;
   std::uint64_t pulses = 0;
+  /// Clean: the exact count. Faulty: Theorem 1's n(2·IDmax+1) ceiling.
   std::uint64_t pulse_bound = 0;
-  bool within_bound = false;   ///< pulses <= pulse_bound
+  bool within_bound = false;   ///< clean: ==, faulty: <= pulse_bound
   bool unique_leader = false;  ///< exactly one Leader role
   bool leader_is_max = false;  ///< and it holds the max ID
   bool on_coro = false;        ///< ran on the coroutine executor
@@ -104,7 +106,7 @@ struct ElectionReport {
   bool completed = false;      ///< final outcome is recovered_correct
   bool abandoned = false;      ///< attempt budget exhausted without success
   std::uint64_t pulses = 0;            ///< of the final attempt
-  std::uint64_t pulse_bound = 0;       ///< of the final attempt's ring
+  std::uint64_t pulse_bound = 0;       ///< of the final attempt
   std::uint64_t faults_applied = 0;    ///< across all attempts
   std::uint64_t events_consumed = 0;   ///< deliveries across all attempts
   std::uint64_t coro_attempts = 0;     ///< attempts run on the coro backend

@@ -28,15 +28,23 @@ void append_usage(std::string& out, std::string_view program,
   }
   if (optional) out += " [options]";
   for (const Positional& p : cmd.positionals) {
-    out += " <" + p.name + (p.rest != nullptr ? ">..." : ">");
+    if (p.typed.set) out += " [<" + p.name + ">";
+    else out += " <" + p.name + (p.rest != nullptr ? ">..." : ">");
+  }
+  for (const Positional& p : cmd.positionals) {
+    if (p.typed.set) out += "]";
   }
   out += "\n";
-  for (const Flag& f : cmd.flags) {
-    std::string row = "    " + f.name + " " + f.placeholder;
-    row.resize(std::max<std::size_t>(row.size() + 2, 26), ' ');
-    out += row + f.help;
+  auto row = [&out](const std::string& head, const Flag& f) {
+    std::string line = "    " + head;
+    line.resize(std::max<std::size_t>(line.size() + 2, 26), ' ');
+    out += line + f.help;
     if (!f.default_text.empty()) out += " (default " + f.default_text + ")";
     out += "\n";
+  };
+  for (const Flag& f : cmd.flags) row(f.name + " " + f.placeholder, f);
+  for (const Positional& p : cmd.positionals) {
+    if (p.typed.set) row("<" + p.name + ">", p.typed);
   }
 }
 
@@ -128,8 +136,10 @@ std::string parse(const Command& cmd, const std::vector<std::string>& args) {
     } else if (const Positional& p = cmd.positionals[next_positional];
                p.rest != nullptr) {
       p.rest->push_back(a);
+    } else if (p.typed.set && !p.typed.set(a)) {
+      return "<" + p.name + "> got '" + a + "'; it wants " + p.typed.wants;
     } else {
-      *p.one = a;
+      if (p.one != nullptr) *p.one = a;
       ++next_positional;
     }
   }

@@ -25,7 +25,7 @@ inline constexpr int kUsageExit = 2;
 
 /// One declared flag. Build typed ones with the functions below; a flag
 /// whose value a callback checks and stores (ID lists, name tables such as
-/// rt::from_string) is just {name, placeholder, help, set}.
+/// co::from_string) is just {name, placeholder, help, set}.
 struct Flag {
   std::string name;         ///< "--seeds"
   std::string placeholder;  ///< value name in the usage; empty = switch
@@ -51,7 +51,8 @@ Flag flag(std::string name, bool& target, std::string help);
 template <std::integral T>
 Flag u64(std::string name, std::string placeholder, T& target,
          std::string help, std::uint64_t min = 0,
-         std::uint64_t max = std::numeric_limits<T>::max()) {
+         std::uint64_t max =
+             static_cast<std::uint64_t>(std::numeric_limits<T>::max())) {
   COLEX_EXPECTS(min <= max && std::cmp_less_equal(
                                   max, std::numeric_limits<T>::max()));
   // A default outside the accepted range is a "not given" sentinel.
@@ -87,12 +88,21 @@ bool split_list(std::string_view list,
                 const std::function<bool(std::string_view)>& item);
 
 /// A positional argument: exactly one value into `one`, or every remaining
-/// value into `rest` (last, and possibly none).
+/// value into `rest` (last, and possibly none), or at most one value parsed
+/// by `typed` (see optional()).
 struct Positional {
   std::string name;
   std::string* one = nullptr;
   std::vector<std::string>* rest = nullptr;
+  Flag typed{};
 };
+
+/// An optional positional parsed by a typed flag (cli::u64, cli::f64, ...)
+/// named after it; when absent, its target keeps its default.
+inline Positional optional(Flag typed) {
+  std::string name = typed.name;
+  return {std::move(name), nullptr, nullptr, std::move(typed)};
+}
 
 /// The program itself (empty `name`) or one of its subcommands.
 struct Command {

@@ -16,6 +16,7 @@
 
 #include <sys/wait.h>
 
+#include "threaded_ring_cli.hpp"
 #include "util/cli.hpp"
 
 namespace colex::util::cli {
@@ -161,6 +162,49 @@ TEST(CliParse, RestPositionalsAndChecks) {
   EXPECT_EQ(parse(cmd, words({})), "no paths");
 }
 
+TEST(CliParse, OptionalTypedPositionals) {
+  std::uint64_t n = 8;
+  double c = 2.0;
+  const Command cmd{.positionals = {optional(u64("n", "", n, "ring size", 1)),
+                                    optional(f64("c", "", c, "constant", 0.5))}};
+  EXPECT_EQ(parse(cmd, words({})), "");
+  EXPECT_EQ(n, 8u);
+  EXPECT_EQ(parse(cmd, words({"5"})), "");
+  EXPECT_EQ(n, 5u);
+  EXPECT_EQ(c, 2.0);
+  EXPECT_EQ(parse(cmd, words({"6", "1.5"})), "");
+  EXPECT_EQ(c, 1.5);
+  for (const char* bad : {"5x", "0", "", "+5"}) {
+    EXPECT_NE(parse(cmd, words({bad})).find("<n> got '"), std::string::npos)
+        << bad;
+  }
+  EXPECT_NE(parse(cmd, words({"5", "nan"})).find("<c> got 'nan'"),
+            std::string::npos);
+  EXPECT_NE(parse(cmd, words({"5", "1", "2"}))
+                .find("unexpected argument '2'"),
+            std::string::npos);
+  const std::string text = usage("prog", {cmd});
+  EXPECT_NE(text.find("prog [<n> [<c>]]\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("ring size (default 8)"), std::string::npos) << text;
+}
+
+// threaded_ring starts one OS thread per node: its ring size is capped at
+// parse time, checked here on the parser alone.
+TEST(CliParse, ThreadedRingCapsItsThreadCount) {
+  examples::ThreadedRingArgs args;
+  const Command cmd = examples::threaded_ring_command(args);
+  const std::string cap = std::to_string(examples::kMaxThreadedRingNodes);
+  EXPECT_EQ(parse(cmd, words({cap.c_str(), "2"})), "");
+  EXPECT_EQ(args.n, examples::kMaxThreadedRingNodes);
+  EXPECT_EQ(args.repeats, 2);
+  const std::string over = std::to_string(examples::kMaxThreadedRingNodes + 1);
+  for (const std::string& bad : {over, std::string("100000"),
+                                 std::string("0"), std::string("5x")}) {
+    EXPECT_NE(parse(cmd, {bad}), "") << bad;
+  }
+  EXPECT_NE(parse(cmd, words({"4", "0"})), "");
+}
+
 TEST(CliArgv, SelectsSubcommandsAndAliases) {
   std::string file;
   std::uint64_t seeds = 100;
@@ -289,6 +333,22 @@ TEST(CliExitCodes, BenchRejectsANonNumericWorkerCount) {
 TEST(CliExitCodes, RingRejectsAnOutOfRangeIndex) {
   expect_usage_exit(COLEX_RING_BIN, "colex-ring",
                     "node --index 3 --ring-size 3 --id 1 --coordinator-port 1");
+}
+
+TEST(CliExitCodes, RingTakesOnlyAlgorithmsThatAreGivenTheirIds) {
+  expect_usage_exit(COLEX_RING_BIN, "colex-ring",
+                    "run --ids 1,2,3 --alg alg4");
+}
+
+TEST(CliExitCodes, ExamplesRejectTrailingGarbage) {
+  for (const char* example : {"quickstart", "nonoriented_ring",
+                              "anonymous_ring", "compose_compute",
+                              "threaded_ring", "trace_playback"}) {
+    expect_usage_exit(std::string(COLEX_EXAMPLES_DIR "/") + example, example,
+                      "5x");
+  }
+  expect_usage_exit(COLEX_EXAMPLES_DIR "/anonymous_ring", "anonymous_ring",
+                    "6 1.5x");
 }
 
 }  // namespace

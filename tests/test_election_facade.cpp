@@ -21,6 +21,86 @@ TEST(Facade, FormulaHelpers) {
   EXPECT_EQ(theorem1_pulses(1, 1), prop15_pulses(1, 1));
 }
 
+// The catalogue (co/algorithms.hpp): the names round-trip and nothing else
+// parses, and each algorithm's exact count is its claim's formula.
+TEST(Catalogue, NamesRoundTripAndCountsMatchTheirTheorems) {
+  for (std::size_t i = 0; i < std::size(kAlgorithms); ++i) {
+    const Algorithm alg = kAlgorithms[i];
+    EXPECT_EQ(static_cast<std::size_t>(alg), i);
+    EXPECT_EQ(from_string(to_string(alg)), alg) << to_string(alg);
+    EXPECT_EQ(exact_pulses(alg, 5, 0), 0u) << to_string(alg);
+  }
+  for (const char* name : {"", "alg3_doubled", "alg3", "ALG2", "alg9"}) {
+    EXPECT_EQ(from_string(name), std::nullopt) << name;
+  }
+  for (const std::uint64_t n : {1u, 3u, 8u}) {
+    for (const std::uint64_t m : {1u, 2u, 20u}) {
+      EXPECT_EQ(exact_pulses(Algorithm::alg1, n, m), n * m);  // Cor. 13
+      EXPECT_EQ(exact_pulses(Algorithm::alg2, n, m), n * (2 * m + 1));
+      EXPECT_EQ(exact_pulses(Algorithm::alg3_doubled, n, m), n * (4 * m - 1));
+      // Prop. 15 is Theorem 1 over the doubled scheme's virtual IDmax.
+      EXPECT_EQ(exact_pulses(Algorithm::alg3_doubled, n, m),
+                theorem1_pulses(n, 2 * m - 1));
+      EXPECT_EQ(exact_pulses(Algorithm::alg3_improved, n, m),
+                n * (2 * m + 1));  // Theorem 2
+      EXPECT_EQ(exact_pulses(Algorithm::alg4, n, m), n * (2 * m + 1));
+    }
+  }
+  // alg4 runs Algorithm 3 improved on the IDs it sampled.
+  const AlgorithmFacts& a3 = facts(Algorithm::alg3_improved);
+  const AlgorithmFacts& a4 = facts(Algorithm::alg4);
+  EXPECT_EQ(a4.oriented, a3.oriented);
+  EXPECT_EQ(a4.terminates, a3.terminates);
+  EXPECT_EQ(a4.scheme, a3.scheme);
+  EXPECT_TRUE(a4.samples_ids);
+}
+
+// Every catalogue entry builds simulator nodes that elect the max-ID node
+// with exactly the catalogue's count.
+TEST(Catalogue, EveryAlgorithmHasAnAutomatonThatHitsItsCount) {
+  const std::vector<std::uint64_t> ids = {3, 7, 5};
+  for (const Algorithm alg : kAlgorithms) {
+    const std::vector<bool> flips = {true, false, true};
+    auto net = sim::PulseNetwork::ring(
+        ids.size(), facts(alg).oriented ? std::vector<bool>{} : flips);
+    for (sim::NodeId v = 0; v < ids.size(); ++v) {
+      net.set_automaton(v, make_automaton(alg, ids[v]));
+    }
+    sim::GlobalFifoScheduler sched;
+    const sim::RunReport report = net.run(sched);
+    EXPECT_TRUE(report.quiescent) << to_string(alg);
+    EXPECT_EQ(report.all_terminated, facts(alg).terminates) << to_string(alg);
+    EXPECT_EQ(report.sent, exact_pulses(alg, 3, 7)) << to_string(alg);
+    ElectionResult tally;
+    tally_leaders(tally, ids.size(),
+                  [&net](std::size_t v) { return role_at(net, v); });
+    EXPECT_EQ(tally.leader_count, 1u) << to_string(alg);
+    EXPECT_EQ(tally.leader, 1u) << to_string(alg);
+    EXPECT_EQ(net.automaton_as<ElectionAutomaton>(1).id(), 7u);
+  }
+}
+
+TEST(Facade, EachEntryPointReportsItsAlgorithmsExactCount) {
+  const std::vector<std::uint64_t> ids = {4, 9, 1};
+  sim::GlobalFifoScheduler sched;
+  const auto stabilizing = elect_oriented_stabilizing(ids, sched);
+  EXPECT_EQ(stabilizing.pulse_bound, 3u * 9u);  // Corollary 13
+  EXPECT_EQ(stabilizing.pulses, stabilizing.pulse_bound);
+  const auto terminating = elect_oriented_terminating(ids, sched);
+  EXPECT_EQ(terminating.pulse_bound, theorem1_pulses(3, 9));
+  EXPECT_EQ(terminating.pulses, terminating.pulse_bound);
+  Alg3NonOriented::Options options;
+  for (const IdScheme scheme : {IdScheme::improved, IdScheme::doubled}) {
+    options.scheme = scheme;
+    const auto oriented = elect_and_orient(ids, {false, true, true}, options,
+                                           sched);
+    EXPECT_EQ(oriented.pulse_bound, scheme == IdScheme::improved
+                                        ? theorem1_pulses(3, 9)
+                                        : prop15_pulses(3, 9));
+    EXPECT_EQ(oriented.pulses, oriented.pulse_bound) << to_string(scheme);
+  }
+}
+
 TEST(Facade, ValidElectionPredicate) {
   ElectionResult result;
   result.nodes.resize(3);

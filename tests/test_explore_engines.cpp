@@ -137,7 +137,7 @@ TEST(ExploreEngines, AgreeOnHundredFuzzedConfigurations) {
     const qa::FuzzCase c = qa::generate_case(seed, opts);
     const std::string diag = qa::check_engine_agreement(c, 25'000);
     EXPECT_TRUE(diag.empty())
-        << "seed " << seed << " (" << qa::to_string(c.alg) << ", n=" << c.n()
+        << "seed " << seed << " (" << co::to_string(c.alg) << ", n=" << c.n()
         << "): " << diag;
   }
 }

@@ -67,7 +67,7 @@ std::string ring_bin() { return std::string(COLEX_RING_BIN); }
 TEST(MultiProcess, RunCommandMatchesTheorem1AndSimulator) {
   // The README's demo ring: six processes, IDs 6,11,3,9,1,7, Algorithm 2.
   qa::FuzzCase c;
-  c.alg = qa::Algorithm::alg2;
+  c.alg = co::Algorithm::alg2;
   c.ids = {6, 11, 3, 9, 1, 7};
   const qa::RunOutcome oracle = qa::execute_case(c);
   ASSERT_TRUE(oracle.report.quiescent);
@@ -94,7 +94,7 @@ TEST(MultiProcess, RunCommandMatchesTheorem1AndSimulator) {
 
 TEST(MultiProcess, NonOrientedRingWithFlipsMatchesExactCount) {
   qa::FuzzCase c;
-  c.alg = qa::Algorithm::alg3_improved;
+  c.alg = co::Algorithm::alg3_improved;
   c.ids = {5, 2, 9, 4};
   c.port_flips = {false, true, false, true};
   const qa::RunOutcome oracle = qa::execute_case(c);
@@ -106,7 +106,8 @@ TEST(MultiProcess, NonOrientedRingWithFlipsMatchesExactCount) {
   ASSERT_EQ(r.exit_code, 0);
   ASSERT_EQ(r.lines.size(), 1u);
   const std::string& j = r.lines[0];
-  EXPECT_EQ(json_field(j, "pulses"), std::to_string(qa::exact_pulses(c)));
+  EXPECT_EQ(json_field(j, "pulses"),
+            std::to_string(co::exact_pulses(c.alg, c.n(), c.id_max())));
   EXPECT_EQ(json_field(j, "pulses"), std::to_string(oracle.counters.sent));
   EXPECT_EQ(json_field(j, "leader"), "2");  // id 9 is the max
 }

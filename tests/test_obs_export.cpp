@@ -3,6 +3,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "co/alg2.hpp"
@@ -132,6 +133,34 @@ TEST(JsonlLoad, CommittedOverflowTraceIsRejected) {
       load_jsonl_file(std::string(COLEX_TEST_DATA_DIR) +
                       "/overflow_port_trace.jsonl"),
       util::ContractViolation);
+}
+
+// The committed clean Algorithm 3 (doubled IDs) trace carries its true
+// IDmax, and its sends meet Proposition 15's count exactly.
+TEST(JsonlLoad, CommittedDoubledSchemeTraceMeetsProposition15) {
+  const LoadedTrace trace = load_jsonl_file(std::string(COLEX_TEST_DATA_DIR) +
+                                            "/alg3_doubled_trace.jsonl");
+  EXPECT_EQ(trace.meta.algorithm, "alg3-doubled");
+  EXPECT_EQ(trace.meta.id_max, 5u);
+  std::uint64_t sends = 0;
+  for (const TraceEvent& e : trace.events) sends += e.kind == Kind::send;
+  EXPECT_EQ(trace.meta.pulse_bound(), co::prop15_pulses(3, 5));
+  EXPECT_EQ(sends, trace.meta.pulse_bound());
+}
+
+TEST(TraceMeta, PulseBoundIsTheNamedAlgorithmsExactCount) {
+  TraceMeta meta;
+  meta.n = 3;
+  meta.id_max = 5;
+  const std::pair<const char*, std::uint64_t> expected[] = {
+      {"alg1", 15}, {"alg2", 33}, {"alg3-doubled", 57},
+      {"alg3-improved", 33}, {"alg4", 33},
+      // Not in the catalogue: no count applies, so the check is skipped.
+      {"soak", 0}, {"unit", 0}, {"", 0}};
+  for (const auto& [name, bound] : expected) {
+    meta.algorithm = name;
+    EXPECT_EQ(meta.pulse_bound(), bound) << name;
+  }
 }
 
 // Chrome-trace shape on a hand-built 2-ring stream covering every kind.

@@ -16,6 +16,8 @@
 namespace colex::qa {
 namespace {
 
+using co::Algorithm;
+
 CampaignOptions base_options(std::size_t cases) {
   CampaignOptions options;
   options.cases = cases;
@@ -107,7 +109,7 @@ TEST(FuzzCampaign, PlantedBugIsFoundAndShrunkToMinimal) {
   EXPECT_GT(cx.shrink_stats.improvements, 0u);
 
   // The planted property fails, but the run still satisfies the REAL
-  // Theorem 1 bound — which is what makes the exported trace pass
+  // Theorem 1 count — which is what makes the exported trace pass
   // `colex-inspect check` while the repro still reproduces the bug.
   const obs::TraceMeta meta = trace_meta_for(cx.minimal);
   std::uint64_t sends = 0;
@@ -117,6 +119,22 @@ TEST(FuzzCampaign, PlantedBugIsFoundAndShrunkToMinimal) {
   EXPECT_EQ(sends, cx.result.outcome.counters.sent);
   EXPECT_LE(sends, meta.pulse_bound());
   EXPECT_EQ(sends, meta.pulse_bound());  // alg2 is exact
+}
+
+TEST(FuzzCampaign, PlantedBugFiresOnEveryAlgorithm) {
+  // Every clean settled run hits its algorithm's exact count, so the
+  // planted "pulses <= count-1" fails on the first case of each.
+  for (const Algorithm alg : co::kAlgorithms) {
+    CampaignOptions options = base_options(20);
+    options.generator.algorithms = {alg};
+    options.properties.planted_bound_bug = true;
+    options.shrink = false;
+    const CampaignReport report = run_campaign(options);
+    ASSERT_EQ(report.counterexamples.size(), 1u) << co::to_string(alg);
+    EXPECT_EQ(report.counterexamples.front().result.failed_property,
+              "planted-bound-off-by-one")
+        << co::to_string(alg);
+  }
 }
 
 TEST(FuzzCampaign, ShrinkCanBeDisabled) {
@@ -202,24 +220,6 @@ TEST(FuzzRepro, LoadRejectsOutOfRangeNumbers) {
   EXPECT_EQ(load_repro(max_ok).c.seed, UINT64_MAX);
 }
 
-TEST(FuzzOracle, EveryAlgorithmHasATranscriptionAndExactCount) {
-  for (const Algorithm a :
-       {Algorithm::alg1, Algorithm::alg2, Algorithm::alg3_doubled,
-        Algorithm::alg3_improved, Algorithm::alg4}) {
-    FuzzCase c;
-    c.alg = a;
-    c.ids = {3, 7, 5};
-    const rt::ThreadAlg t = thread_alg(a);
-    EXPECT_EQ(rt::to_string(t),
-              std::string(a == Algorithm::alg4 ? "alg3-improved"
-                                               : to_string(a)));
-    // Corollary 13 for Algorithm 1; every other algorithm meets its
-    // FuzzCase::pulse_bound() with equality.
-    EXPECT_EQ(exact_pulses(c), a == Algorithm::alg1 ? 3u * 7u
-                                                    : c.pulse_bound());
-  }
-}
-
 TEST(FuzzRepro, ExportedTraceLoadsInObs) {
   // colex-fuzz --trace-out writes obs JSONL with trace_meta_for(c); verify
   // the obs loader round-trips it and the meta matches the case.
@@ -229,9 +229,21 @@ TEST(FuzzRepro, ExportedTraceLoadsInObs) {
       obs::to_jsonl(outcome.trace, trace_meta_for(c)));
   const obs::LoadedTrace loaded = obs::load_jsonl(ss);
   EXPECT_EQ(loaded.meta.n, c.n());
-  EXPECT_EQ(loaded.meta.id_max, c.effective_id_max());
+  EXPECT_EQ(loaded.meta.id_max, c.id_max());
   EXPECT_EQ(loaded.meta.algorithm, to_string(c.alg));
   EXPECT_EQ(loaded.events.size(), outcome.trace.size());
+}
+
+TEST(FuzzRepro, DoubledSchemeTraceCarriesTheTrueIdMax) {
+  FuzzCase c;
+  c.alg = Algorithm::alg3_doubled;
+  c.ids = {2, 5, 3};
+  c.port_flips = {false, true, false};
+  const obs::TraceMeta meta = trace_meta_for(c);
+  EXPECT_EQ(meta.id_max, 5u);
+  EXPECT_EQ(meta.pulse_bound(), co::prop15_pulses(3, 5));
+  // A clean run's trace meets Proposition 15's count exactly.
+  EXPECT_EQ(execute_case(c).counters.sent, meta.pulse_bound());
 }
 
 TEST(FuzzShrink, PredicateStaysAnchoredToTheFailedProperty) {

@@ -10,28 +10,6 @@
 namespace colex::rt {
 namespace {
 
-TEST(ThreadAlgTable, NamesRoundTripAndBoundsMatchThePaper) {
-  for (const ThreadAlg alg : kThreadAlgs) {
-    EXPECT_EQ(from_string(to_string(alg)), alg) << to_string(alg);
-  }
-  EXPECT_EQ(from_string("alg3_doubled"), std::nullopt);
-  EXPECT_EQ(from_string(""), std::nullopt);
-  for (const std::uint64_t n : {1u, 3u, 8u}) {
-    for (const std::uint64_t id_max : {1u, 2u, 20u}) {
-      EXPECT_EQ(pulse_bound(ThreadAlg::alg1, n, id_max), n * id_max);
-      EXPECT_EQ(pulse_bound(ThreadAlg::alg2, n, id_max),
-                co::theorem1_pulses(n, id_max));
-      EXPECT_EQ(pulse_bound(ThreadAlg::alg3_doubled, n, id_max),
-                co::prop15_pulses(n, id_max));
-      EXPECT_EQ(pulse_bound(ThreadAlg::alg3_improved, n, id_max),
-                co::theorem1_pulses(n, id_max));
-    }
-  }
-  for (const ThreadAlg alg : kThreadAlgs) {
-    EXPECT_EQ(pulse_bound(alg, 5, 0), 0u) << to_string(alg);
-  }
-}
-
 TEST(ThreadRing, WiringMatchesSimulator) {
   // A pulse sent from node 0's Port1 must arrive at node 1's Port0.
   ThreadRing ring(3);

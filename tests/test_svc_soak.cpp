@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "digest.hpp"
 #include "obs/export.hpp"
 #include "svc/churn.hpp"
 #include "svc/soak.hpp"
@@ -24,7 +25,7 @@ using svc::ChurnEngine;
 using svc::ChurnPreset;
 using svc::ChurnProfile;
 using svc::RingSpec;
-using svc::SoakAlg;
+using co::Algorithm;
 
 // --- ChurnEngine -----------------------------------------------------------
 
@@ -43,6 +44,28 @@ TEST(ChurnEngine, SpecIsAPureFunctionOfItsCoordinates) {
       EXPECT_EQ(x.faults.seed, y.faults.seed);
     }
   }
+}
+
+// Pins every field of 256 specs of the soak-churn workload's preset. The
+// event budget and the fault horizon are derived from the ring's pulse
+// count, so a changed count formula would silently reshape the workload.
+TEST(ChurnEngine, GoldenDigestOfTheFirst256Specs) {
+  const ChurnProfile profile = ChurnProfile::preset(ChurnPreset::steady);
+  test::Digest d;
+  for (std::size_t slot = 0; slot < 16; ++slot) {
+    const ChurnEngine engine(7, slot, profile);
+    for (std::uint64_t election = 0; election < 4; ++election) {
+      for (unsigned attempt = 0; attempt < 4; ++attempt) {
+        const RingSpec s = engine.spec(election, attempt, 2);
+        d.str(to_string(s.alg));
+        d.u64s(s.ids);
+        d.u64(s.schedule_seed);
+        d.plan(s.faults);
+        d.u64(s.max_events);
+      }
+    }
+  }
+  EXPECT_EQ(d.value(), 0xa8637343fa3180ffULL);
 }
 
 TEST(ChurnEngine, DistinctSlotsAndElectionsDecorrelate) {
@@ -94,15 +117,17 @@ TEST(ChurnEngine, EventBudgetDoublesPerAttempt) {
   // (ring size varies per attempt, so compare against the clean-run scale).
   for (std::uint64_t e = 0; e < 10; ++e) {
     const RingSpec first = engine.spec(e, 0, 2);
-    EXPECT_GE(first.max_events, 4 * first.pulse_bound());
+    EXPECT_GE(first.max_events,
+              4 * co::theorem1_pulses(first.ids.size(), first.id_max()));
     const RingSpec retry = engine.spec(e, 3, 2);
-    EXPECT_GE(retry.max_events, 8 * retry.pulse_bound());
+    EXPECT_GE(retry.max_events,
+              8 * co::theorem1_pulses(retry.ids.size(), retry.id_max()));
   }
 }
 
 // --- run_attempt: the paper's exact budgets, re-proved per attempt --------
 
-RingSpec clean_spec(SoakAlg alg, std::vector<std::uint64_t> ids) {
+RingSpec clean_spec(Algorithm alg, std::vector<std::uint64_t> ids) {
   RingSpec spec;
   spec.alg = alg;
   spec.ids = std::move(ids);
@@ -112,7 +137,7 @@ RingSpec clean_spec(SoakAlg alg, std::vector<std::uint64_t> ids) {
 }
 
 TEST(RunAttempt, CleanAlg2UsesExactlyTheTheorem1Budget) {
-  const auto spec = clean_spec(SoakAlg::alg2, {3, 7, 2, 5});
+  const auto spec = clean_spec(Algorithm::alg2, {3, 7, 2, 5});
   const svc::AttemptResult a = svc::run_attempt(spec);
   EXPECT_EQ(a.outcome, sim::FaultOutcome::recovered_correct) << a.diagnosis;
   // Theorem 1: exactly n(2 * IDmax + 1) pulses, which is also the bound.
@@ -124,10 +149,11 @@ TEST(RunAttempt, CleanAlg2UsesExactlyTheTheorem1Budget) {
 }
 
 TEST(RunAttempt, CleanAlg1UsesCorollary13Pulses) {
-  const auto spec = clean_spec(SoakAlg::alg1, {4, 9, 1});
+  const auto spec = clean_spec(Algorithm::alg1, {4, 9, 1});
   const svc::AttemptResult a = svc::run_attempt(spec);
   EXPECT_EQ(a.outcome, sim::FaultOutcome::recovered_correct) << a.diagnosis;
   EXPECT_EQ(a.pulses, 3u * 9u);  // Corollary 13: n * IDmax
+  EXPECT_EQ(a.pulse_bound, a.pulses);
   EXPECT_TRUE(a.within_bound);
   EXPECT_TRUE(a.unique_leader);
   EXPECT_TRUE(a.leader_is_max);
@@ -138,7 +164,7 @@ TEST(RunAttempt, CoroBackendMatchesSimOnCleanRings) {
   // classification and the identical exact pulse budgets. Pulse counts are
   // schedule-independent on both substrates, so these must agree bit-for-bit
   // with the sim expectations above.
-  const auto alg2 = clean_spec(SoakAlg::alg2, {3, 7, 2, 5});
+  const auto alg2 = clean_spec(Algorithm::alg2, {3, 7, 2, 5});
   const svc::AttemptResult a2 =
       svc::run_attempt(alg2, svc::SoakBackend::coro);
   EXPECT_EQ(a2.outcome, sim::FaultOutcome::recovered_correct) << a2.diagnosis;
@@ -147,12 +173,13 @@ TEST(RunAttempt, CoroBackendMatchesSimOnCleanRings) {
   EXPECT_TRUE(a2.unique_leader);
   EXPECT_TRUE(a2.leader_is_max);
 
-  const auto alg1 = clean_spec(SoakAlg::alg1, {4, 9, 1});
+  const auto alg1 = clean_spec(Algorithm::alg1, {4, 9, 1});
   const svc::AttemptResult a1 =
       svc::run_attempt(alg1, svc::SoakBackend::coro);
   EXPECT_EQ(a1.outcome, sim::FaultOutcome::recovered_correct) << a1.diagnosis;
   EXPECT_TRUE(a1.on_coro);
   EXPECT_EQ(a1.pulses, 3u * 9u);
+  EXPECT_EQ(a1.pulse_bound, a1.pulses);
   EXPECT_TRUE(a1.unique_leader);
   EXPECT_TRUE(a1.leader_is_max);
 }
@@ -161,7 +188,7 @@ TEST(RunAttempt, SocketBackendMatchesSimOnCleanRings) {
   // The same clean specs once more, now over real loopback TCP (src/net):
   // identical classification and the identical exact pulse budgets, with
   // the quiescence coordinator proving sent == consumed on the wire.
-  const auto alg2 = clean_spec(SoakAlg::alg2, {3, 7, 2, 5});
+  const auto alg2 = clean_spec(Algorithm::alg2, {3, 7, 2, 5});
   const svc::AttemptResult a2 =
       svc::run_attempt(alg2, svc::SoakBackend::socket);
   EXPECT_EQ(a2.outcome, sim::FaultOutcome::recovered_correct) << a2.diagnosis;
@@ -171,7 +198,7 @@ TEST(RunAttempt, SocketBackendMatchesSimOnCleanRings) {
   EXPECT_TRUE(a2.unique_leader);
   EXPECT_TRUE(a2.leader_is_max);
 
-  const auto alg1 = clean_spec(SoakAlg::alg1, {4, 9, 1});
+  const auto alg1 = clean_spec(Algorithm::alg1, {4, 9, 1});
   const svc::AttemptResult a1 =
       svc::run_attempt(alg1, svc::SoakBackend::socket);
   EXPECT_EQ(a1.outcome, sim::FaultOutcome::recovered_correct) << a1.diagnosis;
@@ -185,7 +212,7 @@ TEST(RunAttempt, SocketBackendMatchesSimOnCleanRings) {
 TEST(RunAttempt, CoroBackendLeavesFaultyAttemptsOnSim) {
   // Fault injection lives on the simulator: a non-trivial plan must run
   // there even when the policy selects the coro backend.
-  RingSpec spec = clean_spec(SoakAlg::alg2, {3, 7, 2, 5});
+  RingSpec spec = clean_spec(Algorithm::alg2, {3, 7, 2, 5});
   spec.faults.preseed_channels.push_back({0, 1});
   ASSERT_FALSE(spec.faults.trivial());
   const svc::AttemptResult a =
@@ -227,6 +254,19 @@ TEST(RunSupervised, RejectsPolicyWithoutACleanRung) {
 }
 
 // --- run_soak: end-to-end, bounded by election count ----------------------
+
+TEST(RunSoak, ASoakThatElectedNobodyFailsTheGate) {
+  svc::SoakReport empty;
+  EXPECT_FALSE(empty.ok());
+  svc::SoakOptions options;
+  options.duration_seconds = 0.0;
+  options.rings = 4;
+  options.shards = 1;
+  const svc::SoakReport report = svc::run_soak(options);
+  EXPECT_EQ(report.completed, 0u) << report.to_json();
+  EXPECT_FALSE(report.ok());
+  EXPECT_NE(report.to_json().find("\"ok\":false"), std::string::npos);
+}
 
 TEST(RunSoak, BoundedSoakCompletesEveryElectionAndReportsConsistently) {
   const std::string snapshot = "test_svc_soak_snapshot.jsonl";

@@ -27,12 +27,12 @@ namespace colex {
 namespace {
 
 struct BatteryCase {
-  qa::Algorithm alg;
+  co::Algorithm alg;
   std::size_t n;
 };
 
 std::string case_name(const BatteryCase& c) {
-  std::string name(qa::to_string(c.alg));
+  std::string name(co::to_string(c.alg));
   for (char& ch : name) {
     if (ch == '-') ch = '_';  // gtest names must be identifiers
   }
@@ -48,9 +48,7 @@ qa::FuzzCase battery_case(const BatteryCase& bc) {
   for (std::size_t v = 0; v < bc.n; ++v) {
     c.ids.push_back((v * 7) % bc.n + 1);
   }
-  const bool oriented =
-      bc.alg == qa::Algorithm::alg1 || bc.alg == qa::Algorithm::alg2;
-  if (!oriented) {
+  if (!co::facts(bc.alg).oriented) {
     for (std::size_t v = 0; v < bc.n; ++v) c.port_flips.push_back(v % 3 == 1);
   }
   EXPECT_TRUE(c.clean());
@@ -66,7 +64,7 @@ void expect_matches_sim(const std::string& what, const qa::FuzzCase& c,
   ASSERT_TRUE(run.completed) << what << ": " << run.stall_dump;
   EXPECT_EQ(run.leader_count, oracle.leader_count) << what;
   EXPECT_EQ(run.leader, oracle.leader) << what;
-  EXPECT_EQ(run.pulses, qa::exact_pulses(c)) << what;
+  EXPECT_EQ(run.pulses, co::exact_pulses(c.alg, c.n(), c.id_max())) << what;
   ASSERT_EQ(run.outcomes.size(), oracle.roles.size()) << what;
   for (std::size_t v = 0; v < oracle.roles.size(); ++v) {
     EXPECT_EQ(run.outcomes[v].role, oracle.roles[v])
@@ -80,17 +78,16 @@ TEST_P(TransportConformance, AllSubstratesMatchSimulatorExactly) {
   const qa::FuzzCase c = battery_case(GetParam());
   const qa::RunOutcome oracle = qa::execute_case(c);
   ASSERT_TRUE(oracle.report.quiescent);
-  ASSERT_EQ(oracle.counters.sent, qa::exact_pulses(c))
+  ASSERT_EQ(oracle.counters.sent, co::exact_pulses(c.alg, c.n(), c.id_max()))
       << "simulator itself missed the paper's exact count";
-  const rt::ThreadAlg alg = qa::thread_alg(c.alg);
 
   expect_matches_sim("threads", c, oracle,
-                     rt::run_on_threads(c.ids, c.port_flips, alg));
+                     rt::run_on_threads(c.ids, c.port_flips, c.alg));
   expect_matches_sim("coro", c, oracle,
-                     coro::run_on_coro(c.ids, c.port_flips, alg, {2}));
+                     coro::run_on_coro(c.ids, c.port_flips, c.alg, {2}));
 
   const net::SocketRunResult sockets =
-      net::run_on_sockets(c.ids, c.port_flips, alg);
+      net::run_on_sockets(c.ids, c.port_flips, c.alg);
   expect_matches_sim("sockets", c, oracle, sockets);
   // The socket fabric proves quiescence with real counters: every pulse
   // sent over TCP was consumed, and the wire moved exactly one byte per
@@ -103,26 +100,26 @@ TEST_P(TransportConformance, AllSubstratesMatchSimulatorExactly) {
 
 INSTANTIATE_TEST_SUITE_P(
     Battery, TransportConformance,
-    ::testing::Values(BatteryCase{qa::Algorithm::alg1, 1},
-                      BatteryCase{qa::Algorithm::alg1, 2},
-                      BatteryCase{qa::Algorithm::alg1, 3},
-                      BatteryCase{qa::Algorithm::alg1, 8},
-                      BatteryCase{qa::Algorithm::alg1, 32},
-                      BatteryCase{qa::Algorithm::alg2, 1},
-                      BatteryCase{qa::Algorithm::alg2, 2},
-                      BatteryCase{qa::Algorithm::alg2, 3},
-                      BatteryCase{qa::Algorithm::alg2, 8},
-                      BatteryCase{qa::Algorithm::alg2, 32},
-                      BatteryCase{qa::Algorithm::alg3_improved, 1},
-                      BatteryCase{qa::Algorithm::alg3_improved, 2},
-                      BatteryCase{qa::Algorithm::alg3_improved, 3},
-                      BatteryCase{qa::Algorithm::alg3_improved, 8},
-                      BatteryCase{qa::Algorithm::alg3_improved, 32},
-                      BatteryCase{qa::Algorithm::alg3_doubled, 1},
-                      BatteryCase{qa::Algorithm::alg3_doubled, 2},
-                      BatteryCase{qa::Algorithm::alg3_doubled, 3},
-                      BatteryCase{qa::Algorithm::alg3_doubled, 8},
-                      BatteryCase{qa::Algorithm::alg3_doubled, 32}),
+    ::testing::Values(BatteryCase{co::Algorithm::alg1, 1},
+                      BatteryCase{co::Algorithm::alg1, 2},
+                      BatteryCase{co::Algorithm::alg1, 3},
+                      BatteryCase{co::Algorithm::alg1, 8},
+                      BatteryCase{co::Algorithm::alg1, 32},
+                      BatteryCase{co::Algorithm::alg2, 1},
+                      BatteryCase{co::Algorithm::alg2, 2},
+                      BatteryCase{co::Algorithm::alg2, 3},
+                      BatteryCase{co::Algorithm::alg2, 8},
+                      BatteryCase{co::Algorithm::alg2, 32},
+                      BatteryCase{co::Algorithm::alg3_improved, 1},
+                      BatteryCase{co::Algorithm::alg3_improved, 2},
+                      BatteryCase{co::Algorithm::alg3_improved, 3},
+                      BatteryCase{co::Algorithm::alg3_improved, 8},
+                      BatteryCase{co::Algorithm::alg3_improved, 32},
+                      BatteryCase{co::Algorithm::alg3_doubled, 1},
+                      BatteryCase{co::Algorithm::alg3_doubled, 2},
+                      BatteryCase{co::Algorithm::alg3_doubled, 3},
+                      BatteryCase{co::Algorithm::alg3_doubled, 8},
+                      BatteryCase{co::Algorithm::alg3_doubled, 32}),
     [](const ::testing::TestParamInfo<BatteryCase>& param_info) {
       return case_name(param_info.param);
     });

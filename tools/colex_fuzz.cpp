@@ -39,7 +39,7 @@ bool write_trace_file(const std::string& path, const qa::FuzzCase& c,
 }
 
 void print_case(std::ostream& os, const char* label, const qa::FuzzCase& c) {
-  os << label << ": alg=" << qa::to_string(c.alg) << " n=" << c.n() << " ids=[";
+  os << label << ": alg=" << co::to_string(c.alg) << " n=" << c.n() << " ids=[";
   for (std::size_t v = 0; v < c.ids.size(); ++v) {
     if (v) os << ',';
     os << c.ids[v];
@@ -149,8 +149,9 @@ int main(int argc, char** argv) {
       cli::str("--trace-out", "FILE", trace_out,
                "write the counterexample's trace as colex-trace-v1");
   auto add_alg = [&gen](std::string_view name) {
-    gen.algorithms.emplace_back();
-    return qa::algorithm_from_string(std::string(name), gen.algorithms.back());
+    const auto alg = co::from_string(name);
+    if (alg) gen.algorithms.push_back(*alg);
+    return alg.has_value();
   };
   const std::vector<cli::Command> commands = {
       {.name = "run",

@@ -106,7 +106,8 @@ int cmd_summary(const LoadedTrace& trace) {
 }
 
 /// Replays the stream through the same channel-balance audit the simulator
-/// tests use, then checks the paper's pulse bound from the meta line.
+/// tests use, then checks the meta line's algorithm against its exact pulse
+/// count (co/algorithms.hpp), named after the claim it comes from.
 int cmd_check(const LoadedTrace& trace) {
   print_meta(trace);
   bool ok = true;
@@ -128,17 +129,24 @@ int cmd_check(const LoadedTrace& trace) {
     }
   }
 
+  const auto alg = colex::co::from_string(trace.meta.algorithm);
   const std::uint64_t bound = trace.meta.pulse_bound();
   const std::uint64_t sends = total(trace, TraceEvent::Kind::send);
+  if (!alg) {
+    std::cout << "pulse-bound: SKIPPED (no exact count for algorithm '"
+              << trace.meta.algorithm << "')\n";
+    return ok ? 0 : 1;
+  }
+  const colex::co::AlgorithmFacts& f = colex::co::facts(*alg);
+  std::cout << f.count_name << "-bound: ";
   if (bound == 0) {
-    std::cout << "theorem1-bound: SKIPPED (meta lacks n or id_max)\n";
+    std::cout << "SKIPPED (meta lacks n or id_max)\n";
   } else if (sends <= bound) {
-    std::cout << "theorem1-bound: OK (pulses=" << sends
-              << " <= n(2*id_max+1)=" << bound
-              << ", margin=" << (bound - sends) << ")\n";
+    std::cout << "OK (pulses=" << sends << " <= " << f.count_formula << "="
+              << bound << ", margin=" << (bound - sends) << ")\n";
   } else {
-    std::cout << "theorem1-bound: VIOLATED (pulses=" << sends
-              << " > n(2*id_max+1)=" << bound << ")\n";
+    std::cout << "VIOLATED (pulses=" << sends << " > " << f.count_formula
+              << "=" << bound << ")\n";
     ok = false;
   }
   return ok ? 0 : 1;

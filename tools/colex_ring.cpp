@@ -45,7 +45,7 @@ namespace cli = util::cli;
 void print_json_run(const net::MultiProcResult& r, std::size_t n,
                     rt::ThreadAlg alg) {
   std::cout << "{\"completed\":" << (r.completed ? "true" : "false")
-            << ",\"n\":" << n << ",\"alg\":\"" << rt::to_string(alg) << "\""
+            << ",\"n\":" << n << ",\"alg\":\"" << co::to_string(alg) << "\""
             << ",\"pulses\":" << r.pulses << ",\"consumed\":" << r.consumed
             << ",\"probe_rounds\":" << r.probe_rounds
             << ",\"leader_count\":" << r.leader_count << ",\"leader\":";
@@ -72,7 +72,7 @@ int cmd_run(const std::vector<std::uint64_t>& ids,
     print_json_run(r, ids.size(), alg);
   } else if (r.completed) {
     std::cout << "ring of " << ids.size() << " processes, "
-              << rt::to_string(alg) << ": leader node "
+              << co::to_string(alg) << ": leader node "
               << (r.leader ? std::to_string(*r.leader) : std::string("<none>"))
               << ", " << r.pulses << " pulses sent, " << r.consumed
               << " consumed, quiescence proven in " << r.probe_rounds
@@ -149,9 +149,11 @@ int main(int argc, char** argv) {
   const cli::Flag alg_flag{
       "--alg", "A", "alg1 | alg2 | alg3-doubled | alg3-improved (default alg2)",
       [&node](std::string_view name) {
-        const auto parsed = rt::from_string(name);
-        node.alg = parsed.value_or(node.alg);
-        return parsed.has_value();
+        // A ring node is given its ID, so alg4 (which samples one) is out.
+        const auto parsed = co::from_string(name);
+        if (!parsed || co::facts(*parsed).samples_ids) return false;
+        node.alg = *parsed;
+        return true;
       }};
   const cli::Flag ring_size_flag =
       cli::u64("--ring-size", "N", node.ring_size, "ring size", 1).require();

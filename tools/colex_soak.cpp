@@ -8,10 +8,10 @@
 // Prometheus client. --backend picks the substrate for clean attempts;
 // faulty attempts always run on the simulator.
 //
-// Exit status (DESIGN.md §15): 0 the service-level gate held (zero
-// safety-violated, zero diverged, zero abandoned; every started election
-// completed within the Theorem 1 pulse bound with a unique max-ID leader);
-// 1 the gate failed; 2 usage error.
+// Exit status (DESIGN.md §15): 0 the service-level gate held (at least one
+// election completed; zero safety-violated, zero diverged, zero abandoned;
+// every started election completed within its pulse count with a unique
+// max-ID leader); 1 the gate failed; 2 usage error.
 #include <cstdint>
 #include <iostream>
 #include <limits>
