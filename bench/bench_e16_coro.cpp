@@ -289,7 +289,8 @@ int main(int argc, char** argv) {
       .set("pulses_per_sec", static_cast<double>(alg2.pulses) / alg2_seconds)
       .set("steals", alg2.stats.steals)
       .set("parks", alg2.stats.parks)
-      .set("yields", alg2.stats.yields);
+      .set("resumes", alg2.stats.resumes)
+      .set("wakeups", alg2.stats.wakeups);
   report.add_result(std::move(alg2_row));
 
   report.root()

@@ -34,6 +34,16 @@ esac
 
 jobs="$(nproc 2>/dev/null || echo 4)"
 
+# Copies stdin to stderr and succeeds iff it matches PATTERN (grep -q). It
+# writes through the already-open stderr descriptor: `tee /dev/stderr`
+# would reopen a redirected log with O_TRUNC and wipe what came before.
+show_and_grep() {
+  local out
+  out="$(cat)"
+  printf '%s\n' "$out" >&2
+  printf '%s\n' "$out" | grep -q "$1"
+}
+
 run_config() {
   local dir="$1" label="$2" test_filter="$3"
   shift 3
@@ -114,12 +124,12 @@ run_soak_smoke() {
 run_obs_smoke() {
   echo "==> [obs-smoke] bench_e1_theorem1 --smoke + colex-inspect check"
   (cd build && ./bench/bench_e1_theorem1 --smoke \
-    && ./tools/colex-inspect check TRACE_E1.jsonl | tee /dev/stderr \
-       | grep -q "theorem1-bound: OK" \
+    && ./tools/colex-inspect check TRACE_E1.jsonl \
+       | show_and_grep "theorem1-bound: OK" \
     && ./tools/colex-inspect chrome TRACE_E1.jsonl TRACE_E1.chrome.json \
     && ./tools/colex-inspect diff TRACE_E1.jsonl TRACE_E1.jsonl >/dev/null)
   ./build/tools/colex-inspect check tests/data/alg3_doubled_trace.jsonl \
-    | tee /dev/stderr | grep -q "prop15-bound: OK"
+    | show_and_grep "prop15-bound: OK"
   # Negative leg: a deliver event whose port is 2^64+1 must fail to load
   # (exit 2), not wrap to port 1 and audit clean.
   local inspect_rc=0
@@ -345,8 +355,8 @@ echo "==> [fuzz-smoke] colex-fuzz campaigns + replay gates"
        echo "planted campaign unexpectedly passed"; exit 1
      fi \
   && ./tools/colex-fuzz --replay FUZZ_PLANTED.jsonl \
-  && ./tools/colex-inspect check FUZZ_PLANTED_TRACE.jsonl | tee /dev/stderr \
-     | grep -q "theorem1-bound: OK" \
+  && ./tools/colex-inspect check FUZZ_PLANTED_TRACE.jsonl \
+     | show_and_grep "theorem1-bound: OK" \
   && ./tools/colex-fuzz --replay ../tests/data/planted_bound_repro.jsonl)
 
 echo "==> all configurations green"

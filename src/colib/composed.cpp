@@ -38,7 +38,10 @@ void ComposedNode::react(sim::PulseContext& ctx) {
     bus_ = std::make_unique<BusNode>(std::move(pending_app_),
                                      election_.role() == co::Role::leader);
     bus_->begin(ctx);
-    return;
+    // React runs until no progress is possible without new input, so the
+    // bus polls its ports now: a threaded host's next wait blocks only on
+    // ports a react polled empty (runtime/transport.hpp), and the
+    // election's last iterations polled only the ports it still needed.
   }
   bus_->react(ctx);
 }

@@ -106,40 +106,4 @@ class WorkDeque {
   std::int64_t mask_;
 };
 
-/// Owner-only FIFO of node indices for cooperative yields (wait_any with
-/// pulses pending). Strictly single-threaded — only the owning worker ever
-/// touches it — so no atomics. FIFO order is load-bearing: a yielded node
-/// must requeue *behind* every other ready node, or a node polling the
-/// wrong port (Algorithm 2's initiated wait) would be re-popped immediately
-/// and spin the worker without ever scheduling the neighbor it waits on.
-class YieldQueue {
- public:
-  /// `capacity` = ring size: a node is in at most one yield queue (yield is
-  /// a RUNNING->READY transition by the running node itself), so n slots
-  /// can never overflow.
-  explicit YieldQueue(std::size_t capacity)
-      : buf_(next_pow2(capacity + 1)), mask_(buf_.size() - 1) {}
-
-  bool empty() const { return head_ == tail_; }
-
-  void push(std::uint32_t v) {
-    COLEX_ASSERT(tail_ - head_ <= mask_);  // capacity contract (see ctor)
-    buf_[tail_ & mask_] = v;
-    ++tail_;
-  }
-
-  bool pop(std::uint32_t& out) {
-    if (head_ == tail_) return false;
-    out = buf_[head_ & mask_];
-    ++head_;
-    return true;
-  }
-
- private:
-  std::vector<std::uint32_t> buf_;
-  std::size_t mask_;
-  std::size_t head_ = 0;
-  std::size_t tail_ = 0;
-};
-
 }  // namespace colex::coro

@@ -7,8 +7,6 @@
 
 namespace colex::coro {
 
-thread_local Executor::ExecContext* Executor::current_ = nullptr;
-
 Executor::Executor(std::size_t n, const std::vector<bool>& port_flips,
                    ExecutorOptions options)
     : nodes_(wire_ring(n, port_flips)),
@@ -19,10 +17,8 @@ Executor::Executor(std::size_t n, const std::vector<bool>& port_flips,
   // ready in one deque), which removes overflow handling entirely: 4 bytes
   // per slot, so even n=10^6 with 4 workers is 16MB of deque.
   deques_.reserve(worker_count_ + 1);
-  yields_.reserve(worker_count_ + 1);
   for (std::size_t w = 0; w <= worker_count_; ++w) {
     deques_.push_back(std::make_unique<WorkDeque>(n));
-    yields_.push_back(std::make_unique<YieldQueue>(n));
   }
   if (options_.metrics != nullptr) {
     // Arm the flight recorder while still single-threaded: ring creation is
@@ -57,20 +53,24 @@ void Executor::signal_stop() {
 void Executor::run_node(ExecContext& ctx, std::uint32_t v) {
   auto& nd = nodes_[v];
   nd.state.store(NodeState::running, std::memory_order_seq_cst);
+  nd.ctx = &ctx;
+  ctx.suspended = false;
   nd.handle.resume();
   ctx.stats->resumes.store(
       ctx.stats->resumes.load(std::memory_order_relaxed) + 1,
       std::memory_order_relaxed);
-  if (nd.handle.done()) {
-    nd.state.store(NodeState::done, std::memory_order_seq_cst);
-    if (done_count_.fetch_add(1, std::memory_order_seq_cst) + 1 ==
-        nodes_.size()) {
-      flight_record(ctx.index, "all-done", nodes_.size());
-      signal_stop();  // natural termination: every node returned (Alg 2)
-    }
+  // A suspended coroutine parked itself, and a producer may already have
+  // claimed its wakeup and resumed it on another worker, so its frame
+  // (handle.done()) is no longer ours to read. wait_any is the only
+  // suspension point, so a resume that did not suspend ran to co_return.
+  if (ctx.suspended) return;
+  COLEX_ASSERT(nd.handle.done());
+  nd.state.store(NodeState::done, std::memory_order_seq_cst);
+  if (done_count_.fetch_add(1, std::memory_order_seq_cst) + 1 ==
+      nodes_.size()) {
+    flight_record(ctx.index, "all-done", nodes_.size());
+    signal_stop();  // natural termination: every node returned (Alg 2)
   }
-  // Otherwise the coroutine parked itself (state PARKED), or a producer
-  // already re-readied it and owns its next resume.
 }
 
 void Executor::park_worker(ExecContext& ctx) {
@@ -99,7 +99,8 @@ void Executor::park_worker(ExecContext& ctx) {
       return;
     }
     // Counters disagree with an all-parked fabric: pulses bound for nodes
-    // that terminated mid-delivery race (Alg 2 tail) or a genuine stall —
+    // that terminated mid-delivery race (Alg 2 tail) or a genuine stall,
+    // such as pulses queued on ports their parked nodes no longer poll —
     // the done==n path or the watchdog decides; we just go to sleep.
   }
   ctx.stats->parks.store(ctx.stats->parks.load(std::memory_order_relaxed) + 1,
@@ -115,20 +116,11 @@ void Executor::park_worker(ExecContext& ctx) {
 }
 
 void Executor::worker_main(std::size_t w) {
-  ExecContext ctx{&stats_[w], deques_[w].get(), yields_[w].get(), w};
-  current_ = &ctx;
+  ExecContext ctx{&stats_[w], deques_[w].get(), w};
   WorkDeque& own = *deques_[w];
-  YieldQueue& yielded = *yields_[w];
   std::uint32_t v = 0;
   while (!stop_.load(std::memory_order_seq_cst)) {
     if (own.pop(v)) {
-      ready_count_.fetch_sub(1, std::memory_order_seq_cst);
-      run_node(ctx, v);
-      continue;
-    }
-    // Wakeups first (LIFO, cache-warm), then the yield FIFO: a yielded node
-    // reruns only after everything it was waiting behind has had a turn.
-    if (yielded.pop(v)) {
       ready_count_.fetch_sub(1, std::memory_order_seq_cst);
       run_node(ctx, v);
       continue;
@@ -150,7 +142,6 @@ void Executor::worker_main(std::size_t w) {
     if (stole) continue;
     park_worker(ctx);
   }
-  current_ = nullptr;
 }
 
 void Executor::drain() {
@@ -160,13 +151,13 @@ void Executor::drain() {
   // outcomes exactly as ThreadRing's broadcast_stop wake-up does. Sends
   // performed on the way out land in the driver's own context.
   ExecContext ctx{&stats_[worker_count_], deques_[worker_count_].get(),
-                  yields_[worker_count_].get(), worker_count_};
-  current_ = &ctx;
+                  worker_count_};
   std::uint64_t drained = 0;
   for (std::uint32_t v = 0; v < nodes_.size(); ++v) {
     auto& nd = nodes_[v];
     if (nd.handle.done()) continue;
     nd.state.store(NodeState::running, std::memory_order_seq_cst);
+    nd.ctx = &ctx;
     nd.handle.resume();
     COLEX_ASSERT(nd.handle.done());
     nd.state.store(NodeState::done, std::memory_order_seq_cst);
@@ -174,7 +165,6 @@ void Executor::drain() {
     ++drained;
   }
   flight_record(worker_count_, "drain", drained);
-  current_ = nullptr;
 }
 
 void Executor::record_progress_sample(double elapsed_ms) {
@@ -254,7 +244,6 @@ bool Executor::run() {
       r.counter("coro.parks").inc(s.parks.load());
       r.counter("coro.wakeups").inc(s.wakeups.load());
       r.counter("coro.batched_wakeups").inc(s.batched.load());
-      r.counter("coro.yields").inc(s.yields.load());
       r.counter("coro." + who + ".resumes").inc(s.resumes.load());
       r.counter("coro." + who + ".steals").inc(s.steals.load());
       r.counter("coro." + who + ".parks").inc(s.parks.load());
@@ -296,7 +285,6 @@ ExecStats Executor::stats() const {
   out.parks = sum(&WorkerStats::parks);
   out.wakeups = sum(&WorkerStats::wakeups);
   out.batched = sum(&WorkerStats::batched);
-  out.yields = sum(&WorkerStats::yields);
   out.workers = worker_count_;
   return out;
 }
@@ -310,8 +298,7 @@ std::string Executor::dump() const {
      << " ready=" << ready_count_.load() << " idle=" << idle_workers_.load()
      << " done=" << done_count_.load() << " resumes=" << s.resumes
      << " steals=" << s.steals << " parks=" << s.parks
-     << " wakeups=" << s.wakeups << " batched=" << s.batched
-     << " yields=" << s.yields << "\n";
+     << " wakeups=" << s.wakeups << " batched=" << s.batched << "\n";
   // Per-node listing capped to the anomalies: at n=10^6 a full dump is
   // useless; what the post-mortem needs is which nodes still hold pulses
   // or are not parked.
@@ -322,11 +309,14 @@ std::string Executor::dump() const {
     const std::uint64_t p0 = nd.in[0].pending();
     const std::uint64_t p1 = nd.in[1].pending();
     const NodeState st = nd.state.load();
-    if (p0 == 0 && p1 == 0 && st == NodeState::parked) continue;
+    if (p0 == 0 && p1 == 0 && is_parked(st)) continue;
     ++anomalies;
     if (anomalies > kMaxListed) continue;
-    static constexpr const char* kStates[] = {"ready", "running", "parked",
-                                              "done"};
+    // Indexed by the state word: ready, running, done, then parked(M) at
+    // kParkedBit | M for the port masks M = {p0}, {p1}, {p0,p1}.
+    static constexpr const char* kStates[] = {
+        "ready", "running", "done", "", "", "parked[p0]", "parked[p1]",
+        "parked[p0,p1]"};
     const std::size_t ph = nd.phase.load(std::memory_order_relaxed);
     os << "  node " << v << ": pending[p0]=" << p0 << " pending[p1]=" << p1
        << " state=" << kStates[static_cast<std::uint32_t>(st)]

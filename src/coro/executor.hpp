@@ -10,33 +10,46 @@
 // deque, steals FIFO round-robin from the others, and parks on a condition
 // variable when the whole system has no ready work.
 //
-// Sleep/wake protocol (per node, Dekker-style, all seq_cst)
-// ---------------------------------------------------------
-//   consumer (the node, in await_suspend):   producer (a neighbor's send):
-//     state <- PARKED                          channel.produced += 1
-//     re-check channels / stop                 if CAS(state: PARKED->READY):
-//     if pulse or stop:                            push node to own deque
-//       if CAS(state: PARKED->RUNNING):        // CAS failed: node is READY/
-//         resume inline (return false)         // RUNNING/DONE; the pulse
-//     stay suspended (return true)             // rides an existing wakeup
+// Sleep/wake protocol (per node and port, Dekker-style, all seq_cst)
+// -------------------------------------------------------------------
+// A node waits on its *interest set*: the ports whose recv() came back
+// empty since its previous wait (both ports if none did). The
+// transcriptions poll every port their state can use and wait only after
+// an iteration that made no progress, so a pulse on any other port cannot
+// change what the node does next; it stays queued and wakes nobody.
 //
-// seq_cst makes the two stores and two loads a Dekker pair: either the
-// consumer's re-check sees the new pulse, or the producer's CAS sees
-// PARKED — a pulse can never slip between the consumer's last empty poll
-// and its suspension (no lost wakeup). The CAS claims the wakeup exactly
-// once, so a node is never double-resumed; pulses that arrive while the
-// node is already READY coalesce into the pending wakeup (batched wakeups
-// — counted, and harmless to the fault model because pulses are fungible:
-// consuming k batched pulses one recv() at a time is indistinguishable
-// from k separate wakeups).
+//   consumer (the node, in await_suspend):   producer (a send to port q):
+//     M <- interest set; interest <- {}        channel[q].produced += 1
+//     state <- PARKED(M)                       s <- state
+//     re-check channels in M / stop            if s == PARKED(M), q in M,
+//     if pulse or stop:                           and CAS(state: s->READY):
+//       if CAS(state: PARKED(M)->READY):          push node to own deque
+//         push self to own deque               // otherwise the node is
+//     suspend (return true)                    // READY/RUNNING/DONE (the
+//                                              // pulse rides that wakeup)
+//                                              // or parked elsewhere (the
+//                                              // pulse waits for a poll)
 //
-// A node that calls wait_any() while pulses ARE pending does not park — it
-// YIELDS: suspends and requeues itself FIFO on the calling worker. The
-// algorithms poll one port at a time, so a pending pulse on the other port
-// (Algorithm 2's initiated wait) would otherwise spin the worker inside a
-// single resume forever, starving the very neighbor that owes the awaited
-// pulse. Yielded nodes count toward ready_count_, so quiescence detection
-// is untouched.
+// For each port q in M, seq_cst makes the consumer's state store and its
+// re-check of q, and the producer's deposit on q and its state load, a
+// Dekker pair: either the re-check sees the new pulse, or the producer
+// sees PARKED(M) (or a later state, whose owner will re-poll q) — a pulse
+// on a port in M can never slip between the last empty poll of q and the
+// suspension (no lost wakeup). Once PARKED is published the frame belongs
+// to whoever wins the CAS to READY, the parking node included: it never
+// resumes itself inline, because a CAS(PARKED->RUNNING) cannot tell its
+// own park from a later one of the same frame, already claimed and
+// resumed on another worker (two workers would run one frame). The set
+// comes from failed recv() calls, not from which channels are empty when
+// the wait starts: a pulse that lands on a polled port between the poll
+// and the wait must still be in M, or the re-check would skip it and the
+// node could sleep on a pulse it needs.
+// The CAS claims the wakeup exactly once, so a node is never
+// double-resumed; pulses that arrive while the node is already READY
+// coalesce into the pending wakeup (batched wakeups — counted, and
+// harmless to the fault model because pulses are fungible: consuming k
+// batched pulses one recv() at a time is indistinguishable from k separate
+// wakeups).
 //
 // Quiescence (counter-based, worker-side)
 // ---------------------------------------
@@ -51,7 +64,10 @@
 // by done_count == n at the moment the last node returns. A pulse sent to
 // an already-terminated node is swallowed but counted consumed (same
 // convention as ThreadRing's crashed-node swallow), keeping the
-// conservation argument sound.
+// conservation argument sound. A parked node that still holds a pulse on a
+// port outside its interest set keeps sent != consumed, so every node
+// parked with pulses unconsumed is a stall the watchdog reports, never
+// quiescence.
 //
 // The driver thread is the stall watchdog: it waits on a completion cv
 // with the ThreadRing monitor's sampling cadence, records a ProgressTracker
@@ -99,12 +115,43 @@ struct ExecStats {
   std::uint64_t steals = 0;     ///< successful cross-deque steals
   std::uint64_t parks = 0;      ///< worker condvar parks
   std::uint64_t wakeups = 0;    ///< PARKED->READY transitions claimed
-  std::uint64_t batched = 0;    ///< pulses coalesced into a pending wakeup
-  std::uint64_t yields = 0;     ///< wait_any with pulses pending (requeue)
+  std::uint64_t batched = 0;    ///< pulses that claimed no wakeup
+  /// Always 0: the executor has no yield path since waits park on the
+  /// interest set. Kept only because colexbench/src/coro_ring.cpp reads
+  /// it; goes with the next change that may edit colexbench/.
+  std::uint64_t yields = 0;
   std::size_t workers = 0;
 };
 
 class CoroIo;
+
+/// Per-execution-context (worker or drain driver) counters: written only by
+/// the owning thread (relaxed load+store, never RMW), read by others only
+/// behind a happens-before edge (idle RMW chain, join).
+struct alignas(kCacheLine) WorkerStats {
+  std::atomic<std::uint64_t> sent{0};
+  std::atomic<std::uint64_t> consumed{0};
+  std::atomic<std::uint64_t> swallowed{0};
+  std::atomic<std::uint64_t> resumes{0};
+  std::atomic<std::uint64_t> steals{0};
+  std::atomic<std::uint64_t> parks{0};
+  std::atomic<std::uint64_t> wakeups{0};
+  std::atomic<std::uint64_t> batched{0};
+};
+
+/// One execution context — a worker, or the driver's post-stop drain:
+/// which deque send_pulse() pushes wakeups to and which stats slot it owns.
+/// run_node hands it to the node it resumes (CoroNode::ctx), and the
+/// node-side operations reach it there. Not through a thread_local: GCC may
+/// keep a thread_local's address computed before a co_await in the frame
+/// and reuse it after the coroutine resumes on another thread.
+struct ExecContext {
+  WorkerStats* stats;
+  WorkDeque* deque;
+  std::size_t index;
+  /// Set by a wait that suspended during the current run_node resume.
+  bool suspended = false;
+};
 
 class Executor {
  public:
@@ -150,11 +197,14 @@ class Executor {
   // --- node-side operations (called from coroutine bodies) --------------
 
   bool recv_pulse(std::uint32_t v, sim::Port p) {
-    auto& ch = nodes_[v].in[sim::index(p)];
-    if (!ch.try_consume()) return false;
-    current_->stats->consumed.store(
-        current_->stats->consumed.load(std::memory_order_relaxed) + 1,
-        std::memory_order_relaxed);
+    auto& nd = nodes_[v];
+    if (!nd.in[sim::index(p)].try_consume()) {
+      nd.interest.missed(p);
+      return false;
+    }
+    auto& consumed = nd.ctx->stats->consumed;
+    consumed.store(consumed.load(std::memory_order_relaxed) + 1,
+                   std::memory_order_relaxed);
     return true;
   }
 
@@ -162,23 +212,15 @@ class Executor {
     auto& src = nodes_[v];
     const std::uint32_t to = src.peer[sim::index(p)];
     auto& dst = nodes_[to];
-    dst.in[src.peer_port[sim::index(p)]].produce();  // seq_cst deposit
-    auto& stats = *current_->stats;
+    const std::uint8_t q = src.peer_port[sim::index(p)];
+    dst.in[q].produce();  // seq_cst deposit
+    ExecContext& ctx = *src.ctx;
+    auto& stats = *ctx.stats;
     stats.sent.store(stats.sent.load(std::memory_order_relaxed) + 1,
                      std::memory_order_relaxed);
-    NodeState expected = NodeState::parked;
-    if (dst.state.compare_exchange_strong(expected, NodeState::ready,
-                                          std::memory_order_seq_cst,
-                                          std::memory_order_seq_cst)) {
-      // We own the wakeup: exactly one push per PARKED->READY transition.
-      ready_count_.fetch_add(1, std::memory_order_seq_cst);
-      current_->deque->push(to);
-      stats.wakeups.store(stats.wakeups.load(std::memory_order_relaxed) + 1,
-                          std::memory_order_relaxed);
-      if (idle_workers_.load(std::memory_order_seq_cst) != 0) {
-        wake_one_worker();
-      }
-    } else if (expected == NodeState::done) {
+    NodeState expected = dst.state.load(std::memory_order_seq_cst);
+    if (wakes(expected, 1u << q) && claim(ctx, to, expected)) return;
+    if (expected == NodeState::done) {
       // Swallowed (receiver terminated): total_consumed() counts these so
       // conservation-based quiescence stays sound — mirror of ThreadRing's
       // crashed-node convention.
@@ -186,7 +228,8 @@ class Executor {
           stats.swallowed.load(std::memory_order_relaxed) + 1,
           std::memory_order_relaxed);
     } else {
-      // READY or RUNNING: the pulse rides the receiver's existing wakeup.
+      // READY or RUNNING: the pulse rides the receiver's existing wakeup;
+      // parked on the other port: it waits until the node polls q again.
       stats.batched.store(stats.batched.load(std::memory_order_relaxed) + 1,
                           std::memory_order_relaxed);
     }
@@ -205,25 +248,15 @@ class Executor {
   const obs::FlightRecorder* flight() const { return flight_.get(); }
 
   bool stopping() const { return stop_.load(std::memory_order_seq_cst); }
-  bool node_ready_check(std::uint32_t v) const {
-    return nodes_[v].has_pending() || stopping();
+  /// True iff node `v` parked on `mask` must not stay suspended.
+  bool node_ready_check(std::uint32_t v, std::uint32_t mask) const {
+    return nodes_[v].has_pending(mask) || stopping();
   }
 
   /// The awaitable behind CoroIo::wait_any() — see the protocol in the
   /// file header. await_suspend copies its members to locals before any
   /// state publication: the moment a store lands, another thread may resume
   /// (and even finish) the coroutine, destroying this awaiter with it.
-  ///
-  /// Two suspension flavors:
-  ///  * channels empty  -> PARK (Dekker protocol; a producer resumes us)
-  ///  * pulses pending  -> YIELD (requeue FIFO on the calling worker).
-  /// The yield path exists because the algorithms poll one port at a time:
-  /// Algorithm 2's initiated wait loops `recv_ccw / wait_any` while a CW
-  /// pulse may sit unconsumed. On preemptive ThreadRing that busy-wait is
-  /// harmless; on a cooperative executor, resuming inline would spin the
-  /// worker forever without ever scheduling the neighbor that owes the
-  /// CCW pulse. Yielding keeps every ready node running in FIFO turns, so
-  /// the fabric always makes global progress.
   struct WaitAnyAwaiter {
     Executor* ex;
     std::uint32_t v;
@@ -231,81 +264,58 @@ class Executor {
     // Stop short-circuits suspension entirely: the post-join drain relies
     // on wait_any never suspending (and returning false) once stop_ is set.
     bool await_ready() const noexcept { return ex->stopping(); }
-    bool await_suspend(std::coroutine_handle<>) noexcept {
+    void await_suspend(std::coroutine_handle<>) noexcept {
       Executor* const e = ex;  // frame (and *this) may die after a store
       const std::uint32_t self = v;
       auto& nd = e->nodes_[self];
-      if (nd.has_pending()) {
-        // Cooperative yield. We are the running node on this worker, so the
-        // yield queue is ours; producers never touch READY nodes (their CAS
-        // is PARKED->READY only), so the frame stays ours until we return.
-        ExecContext& ctx = *current_;
-        ctx.stats->yields.store(
-            ctx.stats->yields.load(std::memory_order_relaxed) + 1,
-            std::memory_order_relaxed);
-        nd.state.store(NodeState::ready, std::memory_order_seq_cst);
-        e->ready_count_.fetch_add(1, std::memory_order_seq_cst);
-        ctx.yields->push(self);
-        return true;
-      }
-      nd.state.store(NodeState::parked, std::memory_order_seq_cst);
-      if (e->node_ready_check(self)) {
-        NodeState expected = NodeState::parked;
-        if (nd.state.compare_exchange_strong(expected, NodeState::running,
-                                             std::memory_order_seq_cst,
-                                             std::memory_order_seq_cst)) {
-          return false;  // reclaimed our own wakeup: resume inline
-        }
-        // A producer won the CAS and pushed us to a deque; resuming inline
-        // here would double-resume the frame.
-      }
-      return true;
+      ExecContext& ctx = *nd.ctx;  // a claimant's run_node rewrites nd.ctx
+      const std::uint32_t mask = nd.interest.take();
+      NodeState parked = parked_on(mask);
+      // Past the state store the frame belongs to whoever claims the
+      // wakeup, this thread included: a pulse (or stop) that raced the park
+      // is answered by claiming it like a producer, never by resuming
+      // inline — an inline CAS(PARKED->RUNNING) could land on a later park
+      // of the same frame already resumed by another worker.
+      ctx.suspended = true;
+      nd.state.store(parked, std::memory_order_seq_cst);
+      if (e->node_ready_check(self, mask)) e->claim(ctx, self, parked);
     }
     // False only on stop (ThreadRing's wait_any contract): the algorithms
     // treat false as "stopped, record and co_return", which is exactly how
     // the drain unwinds nodes that still hold unconsumable pulses. True
     // does NOT promise a pulse — wakeups can be spurious: a producer's
     // produce -> CAS window may straddle the consumer's whole
-    // reclaim/consume/re-park cycle, landing the CAS on a later park whose
-    // channels are already empty. The algorithms re-poll and wait again,
-    // exactly as they do after a ThreadRing condvar wake.
+    // claim/resume/consume/re-park cycle, landing the CAS on a later park
+    // whose channels are already empty. The algorithms re-poll and wait
+    // again, exactly as they do after a ThreadRing condvar wake.
     bool await_resume() const noexcept { return !ex->stopping(); }
   };
 
  private:
-  // Per-execution-context (worker or drain driver) counters: written only
-  // by the owning thread (relaxed load+store, never RMW), read by others
-  // only behind a happens-before edge (idle RMW chain, join).
-  struct alignas(kCacheLine) WorkerStats {
-    std::atomic<std::uint64_t> sent{0};
-    std::atomic<std::uint64_t> consumed{0};
-    std::atomic<std::uint64_t> swallowed{0};
-    std::atomic<std::uint64_t> resumes{0};
-    std::atomic<std::uint64_t> steals{0};
-    std::atomic<std::uint64_t> parks{0};
-    std::atomic<std::uint64_t> wakeups{0};
-    std::atomic<std::uint64_t> batched{0};
-    std::atomic<std::uint64_t> yields{0};
-  };
-
-  /// Thread-local execution context: which deque send_pulse() pushes
-  /// wakeups to, which FIFO wait_any yields requeue on, and which stats
-  /// slot the thread owns. Workers install one on entry; the driver
-  /// installs its own for the post-stop drain.
-  struct ExecContext {
-    WorkerStats* stats;
-    WorkDeque* deque;
-    YieldQueue* yields;
-    std::size_t index;
-  };
-  static thread_local ExecContext* current_;
-
   void worker_main(std::size_t w);
   void run_node(ExecContext& ctx, std::uint32_t v);
   /// Parks the calling worker; the last to park runs quiescence detection.
   void park_worker(ExecContext& ctx);
   void signal_stop();
   void wake_one_worker();
+
+  /// Claims the wakeup of node `v`, parked as `parked`: CAS(PARKED->READY),
+  /// then push it on `ctx`'s deque. Exactly the claimant pushes, once per
+  /// transition. On failure `parked` holds the state the CAS found.
+  bool claim(ExecContext& ctx, std::uint32_t v, NodeState& parked) {
+    if (!nodes_[v].state.compare_exchange_strong(parked, NodeState::ready,
+                                                 std::memory_order_seq_cst,
+                                                 std::memory_order_seq_cst)) {
+      return false;
+    }
+    ready_count_.fetch_add(1, std::memory_order_seq_cst);
+    ctx.deque->push(v);
+    auto& wakeups = ctx.stats->wakeups;
+    wakeups.store(wakeups.load(std::memory_order_relaxed) + 1,
+                  std::memory_order_relaxed);
+    if (idle_workers_.load(std::memory_order_seq_cst) != 0) wake_one_worker();
+    return true;
+  }
   void drain();
   void record_progress_sample(double elapsed_ms);
   void publish_metrics(const std::vector<obs::Registry>& worker_registries);
@@ -331,8 +341,6 @@ class Executor {
   std::size_t worker_count_;
   // One deque per worker plus one for the driver's post-stop drain.
   std::vector<std::unique_ptr<WorkDeque>> deques_;
-  // Per-worker cooperative-yield FIFOs (same worker_count_ + 1 layout).
-  std::vector<std::unique_ptr<YieldQueue>> yields_;
   std::vector<WorkerStats> stats_;  // worker_count_ + 1 slots
   // Flight recorder: rings "worker.0".."worker.W-1" plus "driver" (watchdog
   // + drain events). Created in the constructor, before any worker spawns.

@@ -142,7 +142,10 @@ PulseEndpoint::PulseEndpoint(Fd succ, Fd pred, Fd ctl, sim::Port succ_port,
 
 bool PulseEndpoint::recv(sim::Port p) {
   std::uint64_t& q = queue_[sim::index(p)];
-  if (q == 0) return false;
+  if (q == 0) {
+    interest_.missed(p);
+    return false;
+  }
   --q;
   ++counters_.consumed;
   return true;
@@ -310,17 +313,18 @@ void PulseEndpoint::answer_pending_probe() {
 
 bool PulseEndpoint::wait() {
   ++counters_.waits;
+  // Pulses queued on ports outside the interest set do not end the wait.
+  const unsigned mask = interest_.take();
   if (stop_) return false;
   if (!flush()) return false;
   if (!drain_ctl()) return false;
   if (stop_) return false;
-  // Drain the kernel buffers before the pending-pulse check: the immediate
-  // return below must still make progress when the algorithm is waiting on
-  // one port while unconsumed pulses sit queued on the other.
+  // Drain the kernel buffers before the arrival check: a pulse already in
+  // the kernel on a port of the interest set ends the wait at once.
   for (int i = 0; i < 2; ++i) {
     if (!drain_link(i, false)) return false;
   }
-  if (queue_[0] + queue_[1] > 0) return true;  // ThreadRing wait_any contract
+  if (rt::arrived(mask, queue_)) return true;
   if (!report()) return false;
   answer_pending_probe();
   if (stop_) return false;
@@ -350,7 +354,7 @@ bool PulseEndpoint::wait() {
     for (int i = 0; i < 2; ++i) {
       if (!drain_link(i, false)) return false;
     }
-    if (queue_[0] + queue_[1] > 0) return true;
+    if (rt::arrived(mask, queue_)) return true;
     answer_pending_probe();
     if (deadline_.expired()) {
       std::string what = "wait(): watchdog deadline expired";

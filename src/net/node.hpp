@@ -26,11 +26,16 @@
 // ----------
 // recv()/send() never block: recv pops from the per-port arrival queues,
 // send batches a pulse byte on the connection's output tally (flushed at
-// wait() and whenever a batch fills). wait() flushes, returns immediately
-// if arrivals are already queued (ThreadRing's wait_any contract), else
-// reports idle to the coordinator and blocks in poll() over {successor,
-// predecessor, control} until pulses arrive, the coordinator broadcasts
-// STOP (wait returns false), or the watchdog deadline expires. Quiescence
+// wait() and whenever a batch fills). wait() waits on the node's interest
+// set — the ports whose recv() came back empty since its previous wait, or
+// both if none did (runtime/transport.hpp). It flushes, drains both edges
+// into the arrival queues, and returns immediately if a port in the set
+// has arrivals queued; else it reports idle to the coordinator and blocks
+// in poll() over {successor, predecessor, control} until pulses arrive on
+// a port in the set, the coordinator broadcasts STOP (wait returns false),
+// or the watchdog deadline expires. Both edges stay polled and drained:
+// pulses on the other port are queued (never left to fill the kernel
+// buffer and stall the sender) but do not end the wait. Quiescence
 // probes are answered only from a provably idle, fully flushed state; the
 // coordinator's two-round confirmation (coordinator.hpp) does the rest.
 #pragma once
@@ -171,6 +176,7 @@ class PulseEndpoint {
   util::Deadline deadline_;
   CtlParser ctl_parser_;
   std::uint64_t queue_[2] = {0, 0};  ///< arrived, unconsumed pulses
+  rt::InterestSet interest_;  ///< what the next wait() blocks on
   EndpointCounters counters_;
   bool stop_ = false;
   bool done_ = false;  ///< algorithm terminated naturally

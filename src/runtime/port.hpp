@@ -7,10 +7,13 @@
 // `PulsePort` (blocking_algs.hpp). The only operation that can block is
 // wait_any(), so it is the only awaitable; recv()/send() are plain calls.
 // On the coroutine runtime the awaitable parks the node until a pulse
-// arrives. On the blocking substrates (ThreadRing, src/net), TransportPort
-// performs the blocking wait inside await_ready() and never suspends — the
-// coroutine therefore runs to completion in one resume, byte-for-byte the
-// old blocking behavior, on the thread that resumed it.
+// lands on a port of its interest set (runtime/transport.hpp: the ports
+// whose recv() came back empty since its previous wait). On the blocking
+// substrates (ThreadRing, src/net), TransportPort performs the blocking
+// wait inside await_ready() and never suspends — the coroutine therefore
+// runs to completion in one resume, byte-for-byte the old blocking
+// behavior, on the thread that resumed it. Every substrate waits on the
+// same interest set, so the transcriptions see one contract.
 #pragma once
 
 #include <array>

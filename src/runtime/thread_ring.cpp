@@ -52,7 +52,10 @@ bool ThreadRing::recv(sim::NodeId v, sim::Port p) {
   std::lock_guard<std::mutex> lock(node.mutex);
   if (node.crashed.load()) return false;
   auto& q = node.pending[sim::index(p)];
-  if (q == 0) return false;
+  if (q == 0) {
+    node.interest.missed(p);
+    return false;
+  }
   --q;
   consumed_.fetch_add(1);
   node.consumed.fetch_add(1);
@@ -98,7 +101,10 @@ bool ThreadRing::wait_any(sim::NodeId v) {
   auto& node = nodes_[v];
   std::unique_lock<std::mutex> lock(node.mutex);
   if (node.crashed.load()) return false;
-  if (node.pending[0] != 0 || node.pending[1] != 0) return true;
+  // Pulses on ports outside the interest set stay queued and neither end
+  // the wait nor satisfy its predicate.
+  const unsigned mask = node.interest.take();
+  if (arrived(mask, node.pending)) return true;
   if (stop_.load()) return false;
   // Wake on any epoch movement, not just `crashed`: a back-to-back
   // crash()+recover() can clear the flag before this thread re-evaluates
@@ -114,8 +120,8 @@ bool ThreadRing::wait_any(sim::NodeId v) {
   // (all accounted + sent==consumed): tell the monitor instead of letting
   // it find out on its next polling tick.
   maybe_notify_monitor();
-  node.cv.wait(lock, [&node, this, e0] {
-    return node.pending[0] != 0 || node.pending[1] != 0 || stop_.load() ||
+  node.cv.wait(lock, [&node, this, e0, mask] {
+    return arrived(mask, node.pending) || stop_.load() ||
            node.crash_epoch.load() != e0;
   });
   idle_.fetch_sub(1);
@@ -135,7 +141,7 @@ bool ThreadRing::wait_any(sim::NodeId v) {
     while (cur < ns && !node.wait_max_ns.compare_exchange_weak(cur, ns)) {
     }
   }
-  return node.pending[0] != 0 || node.pending[1] != 0;
+  return arrived(mask, node.pending);
 }
 
 void ThreadRing::crash(sim::NodeId v) {

@@ -45,6 +45,7 @@
 #include "obs/metrics.hpp"
 #include "obs/phase.hpp"
 #include "runtime/progress.hpp"
+#include "runtime/transport.hpp"
 #include "sim/types.hpp"
 #include "util/contracts.hpp"
 
@@ -69,8 +70,11 @@ class NodeIo {
   /// Send one pulse out of port `p`.
   void send(sim::Port p);
 
-  /// Block until a pulse is available on either port. Returns false when
-  /// the harness has signalled stop (global quiescence / timeout) or this
+  /// Block until a pulse is available on a port in the node's interest
+  /// set: the ports whose recv() came back empty since its previous wait,
+  /// or both ports if none did (runtime/transport.hpp). Pulses queued on
+  /// other ports neither end the wait nor wake it. Returns false when the
+  /// harness has signalled stop (global quiescence / timeout) or this
   /// incarnation has been crashed; the algorithm should then return.
   bool wait_any();
 
@@ -227,6 +231,7 @@ class ThreadRing {
     mutable std::mutex mutex;
     std::condition_variable cv;
     std::uint64_t pending[2] = {0, 0};  // pulses queued per port
+    InterestSet interest;  // what the next wait blocks on (under `mutex`)
     // Wiring: sending out of port p delivers to peer[p] at peer_port[p].
     sim::NodeId peer[2] = {0, 0};
     sim::Port peer_port[2] = {sim::Port::p0, sim::Port::p0};

@@ -17,6 +17,7 @@
 #include "coro/run.hpp"
 #include "coro/spsc.hpp"
 #include "helpers.hpp"
+#include "interest_probe.hpp"
 
 namespace colex::coro {
 namespace {
@@ -158,25 +159,6 @@ TEST(WorkDeque, StealStressEveryEntryClaimedExactlyOnce) {
   }
 }
 
-TEST(YieldQueue, FifoOrder) {
-  YieldQueue q(4);
-  EXPECT_TRUE(q.empty());
-  q.push(7);
-  q.push(8);
-  q.push(9);
-  std::uint32_t out = 0;
-  ASSERT_TRUE(q.pop(out));
-  EXPECT_EQ(out, 7u);
-  ASSERT_TRUE(q.pop(out));
-  EXPECT_EQ(out, 8u);
-  q.push(10);
-  ASSERT_TRUE(q.pop(out));
-  EXPECT_EQ(out, 9u);
-  ASSERT_TRUE(q.pop(out));
-  EXPECT_EQ(out, 10u);
-  EXPECT_FALSE(q.pop(out));
-}
-
 // --- Node table ------------------------------------------------------------
 
 TEST(CoroRing, NodePacksIntoOneCacheLine) {
@@ -246,6 +228,24 @@ TEST(CoroAlg2, MultiWorkerStaysExact) {
     EXPECT_EQ(result.pulses, co::theorem1_pulses(kN, kN)) << workers;
     EXPECT_EQ(result.leader_count, 1u) << workers;
     EXPECT_EQ(result.stats.workers, workers);
+  }
+}
+
+TEST(CoroAlg2, RepeatedMultiWorkerElectionsStayExact) {
+  // Four workers race producers against parking nodes. A pulse that lands
+  // on a port between the node's empty poll of it and its park must still
+  // wake it: the interest set comes from failed recv() calls, not from the
+  // queues that are empty when the wait starts. Getting that wrong stalls
+  // an election; every one must land Theorem 1's exact count.
+  constexpr std::size_t kN = 64;
+  for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+    const auto ids = test::shuffled(test::dense_ids(kN), seed);
+    const auto result =
+        run_on_coro(ids, {}, rt::ThreadAlg::alg2, {4, 30'000, nullptr});
+    ASSERT_TRUE(result.completed) << "seed " << seed << "\n"
+                                  << result.stall_dump;
+    ASSERT_EQ(result.pulses, co::theorem1_pulses(kN, kN)) << seed;
+    ASSERT_EQ(result.leader_count, 1u) << seed;
   }
 }
 
@@ -323,7 +323,7 @@ TEST(CoroExecutor, SingleWorkerRunsAreDeterministic) {
   EXPECT_EQ(a.stats.resumes, b.stats.resumes);
   EXPECT_EQ(a.stats.wakeups, b.stats.wakeups);
   EXPECT_EQ(a.stats.batched, b.stats.batched);
-  EXPECT_EQ(a.stats.yields, b.stats.yields);
+  EXPECT_EQ(a.stats.parks, b.stats.parks);
   ASSERT_EQ(a.outcomes.size(), b.outcomes.size());
   for (sim::NodeId v = 0; v < ids.size(); ++v) {
     EXPECT_EQ(a.outcomes[v].role, b.outcomes[v].role) << v;
@@ -371,7 +371,8 @@ rt::ElectionTask pulse_once_then_wait(Io io) {
 template <rt::PulsePort Io>
 rt::ElectionTask deaf_node(Io io) {
   rt::BlockingOutcome out;
-  for (;;) {  // wakes on every pulse but never consumes one
+  for (;;) {  // polls only p1, so a pulse on p0 is never consumed
+    if (io.recv(sim::Port::p1)) continue;
     if (!co_await io.wait_any()) {
       out.stopped = true;
       co_return out;
@@ -380,10 +381,11 @@ rt::ElectionTask deaf_node(Io io) {
 }
 
 TEST(CoroExecutor, WatchdogFiresOnUndeliveredPulse) {
-  // Node 0 sends one pulse to node 1, which never consumes it: the fabric
-  // can neither quiesce (sent != consumed) nor terminate, and node 1 keeps
-  // yielding on its pending-but-unread pulse. The watchdog must abort with
-  // a stall dump instead of hanging.
+  // Node 0 sends one pulse to node 1's p0, which node 1 never polls: node 1
+  // parks on p1 with the pulse queued, every node is parked, and the fabric
+  // can neither quiesce (sent != consumed) nor terminate. All-parked with a
+  // pulse unconsumed is a stall, never quiescence: the watchdog must abort
+  // with a stall dump instead of hanging.
   Executor ex(2, {}, ExecutorOptions{1, 300, nullptr});
   auto t0 = pulse_once_then_wait(ex.io(0));
   auto t1 = deaf_node(ex.io(1));
@@ -392,10 +394,60 @@ TEST(CoroExecutor, WatchdogFiresOnUndeliveredPulse) {
   EXPECT_FALSE(ex.run());
   EXPECT_TRUE(ex.timed_out());
   EXPECT_FALSE(ex.quiescent());
-  EXPECT_NE(ex.stall_dump().find("coro-executor state"), std::string::npos);
+  const std::string& dump = ex.stall_dump();
+  EXPECT_NE(dump.find("coro-executor state"), std::string::npos);
+  EXPECT_NE(dump.find("node 1: pending[p0]=1 pending[p1]=0 state=parked[p1]"),
+            std::string::npos)
+      << dump;
   EXPECT_TRUE(t0.outcome().stopped);
   EXPECT_TRUE(t1.outcome().stopped);
-  EXPECT_GT(ex.stats().yields, 0u);  // the deaf node spins via the yield path
+  // The pulse outside node 1's interest set woke nobody: each node ran
+  // once and parked for good.
+  EXPECT_EQ(ex.stats().resumes, 2u);
+  EXPECT_EQ(ex.stats().wakeups, 0u);
+}
+
+/// Waits for one pulse on p0, then sends `cw` CW pulses and `ccw` CCW
+/// pulses, in that order, and returns.
+template <rt::PulsePort Io>
+rt::ElectionTask on_go_send(Io io, int cw, int ccw) {
+  rt::BlockingOutcome out;
+  while (!io.recv(sim::Port::p0)) {
+    if (!co_await io.wait_any()) {
+      out.stopped = true;
+      co_return out;
+    }
+  }
+  for (int i = 0; i < cw; ++i) io.send(co::kCwPort);
+  for (int i = 0; i < ccw; ++i) io.send(co::kCcwPort);
+  out.terminated = true;
+  co_return out;
+}
+
+TEST(CoroExecutor, ParkedNodeSleepsThroughPulsesOutsideItsInterestSet) {
+  // One worker, so the schedule is fixed. Node 0 announces itself to node 1
+  // and parks polling only CW. Node 1 then readies node 2 and sends node 0
+  // 100 CCW pulses; node 2 finally sends node 0 its CW pulse. Node 0 must
+  // be woken once, by the CW pulse: every node runs once, is woken once
+  // (node 1 by node 0, node 2 by node 1, node 0 by node 2) and returns.
+  constexpr int kCcw = 100;
+  Executor ex(3, {}, ExecutorOptions{1, 30'000, nullptr});
+  std::uint64_t waits = 0;
+  auto t0 = test::poll_cw_only(ex.io(0), co::kCwPort, &waits);
+  auto t1 = on_go_send(ex.io(1), 1, kCcw);
+  auto t2 = on_go_send(ex.io(2), 1, 0);
+  ex.bind(0, t0.handle());
+  ex.bind(1, t1.handle());
+  ex.bind(2, t2.handle());
+  ASSERT_TRUE(ex.run()) << ex.stall_dump();
+  EXPECT_TRUE(t0.outcome().terminated);
+  EXPECT_EQ(waits, 1u);
+  const ExecStats s = ex.stats();
+  EXPECT_EQ(s.resumes, 6u);
+  EXPECT_EQ(s.wakeups, 3u);
+  EXPECT_EQ(s.sent, 3u + kCcw);
+  EXPECT_EQ(s.consumed, 3u);  // the CCW pulses stay queued at node 0
+  EXPECT_EQ(s.yields, 0u);
 }
 
 TEST(CoroExecutor, PublishesMergedMetrics) {

@@ -205,7 +205,7 @@ TEST(LintTree, SrcToolsBenchScanClean) {
   // critical section (never held across a park).
   ASSERT_EQ(outcome.suppressed.size(), 2u);  // sorted by (file, line, rule)
   EXPECT_TRUE(
-      has_one(outcome.suppressed, "T002", "src/coro/executor.cpp", 46));
+      has_one(outcome.suppressed, "T002", "src/coro/executor.cpp", 42));
   EXPECT_EQ(outcome.suppressed[1].rule, "C001");
   EXPECT_TRUE(ends_with(outcome.suppressed[1].file, "src/sim/network.hpp"));
 }

@@ -2,10 +2,13 @@
 // parsers under partial and coalesced reads, the pulse endpoint's event
 // loop on socketpairs (burst coalescing, EOF mid-election, teardown), and
 // the connect helpers' refused-vs-fatal classification. Every wait in here
-// is deadline-based — no sleeps, no timing assumptions.
+// is deadline-based and no assertion depends on timing; one test sleeps so
+// that a wait which wrongly returns early has time to show.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <netinet/in.h>
@@ -15,6 +18,7 @@
 #include "net/node.hpp"
 #include "net/socket.hpp"
 #include "net/wire.hpp"
+#include "interest_probe.hpp"
 
 namespace colex::net {
 namespace {
@@ -382,6 +386,37 @@ TEST(PulseEndpoint, ProbeAckDeferredUntilQueueDrains) {
   EXPECT_EQ(ack.words[0], 7u);
   EXPECT_EQ(ack.words[1], kStateIdle);
   EXPECT_EQ(ack.words[3], 1u);  // consumed
+}
+
+TEST(PulseEndpoint, WaitSleepsThroughPulsesOutsideTheInterestSet) {
+  // The node polls only CW (local p0, the predecessor edge) and waits; its
+  // first wait flushes its announce pulse, so once the test reads that
+  // byte the node is inside that wait. 100 CCW pulses (successor edge,
+  // local p1) must not end it; only the CW pulse may. One wait() call in
+  // all, and it returns once.
+  Bench bench;
+  std::uint64_t waits = 0;
+  rt::BlockingOutcome out;
+  std::thread node([&bench, &waits, &out] {
+    out = rt::drive_blocking(test::poll_cw_only(
+        rt::TransportPort<EndpointIo>(EndpointIo(bench.ep)), co::kCwPort,
+        &waits));
+  });
+  unsigned char announce = 0;
+  EXPECT_EQ(::read(bench.succ(), &announce, 1), 1);
+  const std::vector<unsigned char> ccw(100, kPulseByte);
+  std::string err;
+  EXPECT_TRUE(util::send_all(bench.succ(), ccw.data(), ccw.size(),
+                             util::Deadline::in_ms(2000), &err));
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const unsigned char cw = kPulseByte;
+  EXPECT_TRUE(util::send_all(bench.pred(), &cw, 1,
+                             util::Deadline::in_ms(2000), &err));
+  node.join();
+  EXPECT_TRUE(out.terminated) << bench.ep.error();
+  EXPECT_EQ(waits, 1u);
+  EXPECT_EQ(bench.ep.counters().waits, 1u);
+  EXPECT_EQ(bench.ep.consumed(), 1u);  // the CCW pulses stay queued
 }
 
 // --- Connect classification ----------------------------------------------

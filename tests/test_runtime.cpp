@@ -3,8 +3,12 @@
 // same roles, same total pulse counts — under genuine OS-level asynchrony.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <thread>
+
 #include "co/election.hpp"
 #include "helpers.hpp"
+#include "interest_probe.hpp"
 #include "runtime/blocking_algs.hpp"
 
 namespace colex::rt {
@@ -30,6 +34,30 @@ TEST(ThreadRing, SelfLoopSingleNode) {
   EXPECT_TRUE(io.recv(sim::Port::p0));
   io.send(sim::Port::p0);
   EXPECT_TRUE(io.recv(sim::Port::p1));
+}
+
+TEST(ThreadRing, WaitSleepsThroughPulsesOutsideTheInterestSet) {
+  // Node 0 polls only CW and waits; node 1 (this thread) sends it 100 CCW
+  // pulses, gives a wrongly woken wait time to show, then one CW pulse.
+  // The CCW pulses must neither end node 0's wait nor be consumed, so at
+  // most one wait returns: the one the CW pulse ends (none if node 0's
+  // first poll came after the CW pulse).
+  ThreadRing ring(2);
+  std::uint64_t waits = 0;
+  BlockingOutcome out;
+  std::thread node0([&ring, &waits, &out] {
+    out = drive_blocking(test::poll_cw_only(BlockingPortAdapter(ring.io(0)),
+                                            co::kCwPort, &waits));
+  });
+  NodeIo io1 = ring.io(1);
+  while (!io1.recv(sim::Port::p0)) io1.wait_any();  // node 0's announce
+  for (int i = 0; i < 100; ++i) io1.send(co::kCcwPort);  // to node 0's p1
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  io1.send(co::kCwPort);  // to node 0's p0
+  node0.join();
+  EXPECT_TRUE(out.terminated);
+  EXPECT_LE(waits, 1u);
+  EXPECT_EQ(ring.io(0).pending(sim::Port::p1), 100u);
 }
 
 TEST(ThreadRing, FlippedWiring) {
